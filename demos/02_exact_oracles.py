@@ -2,7 +2,7 @@
 
 The pair (active lines, dormant lines) is a Markov chain on a finite
 triangle of states, so expected coalescence times and expected branch
-lengths come from dense linear solves, with no Monte Carlo error.  These
+lengths come from sparse linear solves, with no Monte Carlo error.  These
 oracles anchor the whole verification story.
 """
 

@@ -6,7 +6,7 @@ active state and the seed bank.  Forward in time: Wright-Fisher models with
 a strong seed bank and numerical integration of the two-frequency (jump)
 diffusion they converge to.  The two directions meet in the moment duality,
 which the verification suite checks against exact finite-state oracles
-(first-step analysis and uniformization).
+(first-step analysis and the matrix exponential of the sparse generator).
 """
 
 from .blockcount import (
@@ -60,7 +60,6 @@ from .measures import (
     ModelParams,
     SwitchingMeasure,
     group_switch_rate,
-    jump_activity_above,
     neg_log_moment,
     sample_location,
     small_jump_mass,

@@ -11,22 +11,28 @@ the total: the last line keeps flipping between active and dormant.
 Three independent routes through this chain back the verification story:
 
 * a Gillespie simulator (scalar and vectorized-ensemble variants),
-* first-step analysis: dense linear solves for expected absorption time and
+* first-step analysis: sparse linear solves for expected absorption time and
   expected active/dormant branch lengths,
-* uniformization: exact transient distributions, used as the right-hand side
-  of the moment duality check.
+* the sparse matrix exponential of the generator: exact transient
+  expectations, used as the right-hand side of the moment duality check.
+
+Every consumer of the chain reads its switching rates from one cached rate
+row per (measure, eligible count, single-line rate), so the simulators and
+the oracles cannot drift apart.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import linalg as _linalg
+from scipy import sparse as _sparse
+from scipy.sparse.linalg import expm_multiply, spsolve
 
-from .measures import ModelParams, group_switch_rate, total_mass
+from .measures import ModelParams, SwitchingMeasure, group_switch_rate, total_mass
 from .streams import as_rng
 
 __all__ = [
@@ -44,12 +50,28 @@ __all__ = [
     "mrca_reachable",
 ]
 
-_UNIFORMIZATION_TAIL = 1e-12
-
-
 class BlockCountState(NamedTuple):
     n: int  # active lines
     m: int  # dormant lines
+
+
+# bounded because a row holds b floats and a scalar run visits every count once
+@lru_cache(maxsize=1024)
+def _switch_row(measure: SwitchingMeasure, b: int, single_rate: float) -> tuple[float, ...]:
+    """Aggregate rates of flipping k = 1..b of b eligible lines, k-1 indexed.
+
+    Entry k-1 is group_switch_rate(measure, b, k), with the spontaneous
+    single-line rate ``single_rate * b`` added at k = 1.  This is the only
+    place the coordinated-switching rates of the chain are assembled.
+    """
+    zero = measure.is_zero()
+    row = []
+    for k in range(1, b + 1):
+        rate = 0.0 if zero else group_switch_rate(measure, b, k)
+        if k == 1:
+            rate += single_rate * b
+        row.append(rate)
+    return tuple(row)
 
 
 def bc_transition_rates(s: BlockCountState, params: ModelParams) -> list[tuple[BlockCountState, float]]:
@@ -65,16 +87,10 @@ def bc_transition_rates(s: BlockCountState, params: ModelParams) -> list[tuple[B
     out: list[tuple[BlockCountState, float]] = []
     if n >= 2:
         out.append((BlockCountState(n - 1, m), n * (n - 1) / 2.0))
-    for k in range(1, n + 1):
-        rate = group_switch_rate(params.lambda_ad, n, k) if not params.lambda_ad.is_zero() else 0.0
-        if k == 1:
-            rate += params.c * n
+    for k, rate in enumerate(_switch_row(params.lambda_ad, n, params.c), start=1):
         if rate > 0.0:
             out.append((BlockCountState(n - k, m + k), rate))
-    for l in range(1, m + 1):
-        rate = group_switch_rate(params.lambda_da, m, l) if not params.lambda_da.is_zero() else 0.0
-        if l == 1:
-            rate += params.c * params.K * m
+    for l, rate in enumerate(_switch_row(params.lambda_da, m, params.c * params.K), start=1):
         if rate > 0.0:
             out.append((BlockCountState(n + l, m - l), rate))
     return out
@@ -164,11 +180,16 @@ def blockcount_ensemble(
     """Simulate many independent block-count paths in lockstep.
 
     Vectorizes the Gillespie loop across replicates.  Coordinated switching
-    is supported for atom-only measures via constant-rate event clocks: an
-    atom (z, w) fires at rate w/z and then flips a Binomial(count, z) set of
-    lines, which reproduces the aggregate per-size rates exactly (a binomial
-    draw of 0 is a silent no-op).  Measures with Beta components fall back to
-    per-replicate scalar simulation.
+    runs on constant-rate or per-line event clocks that reproduce the
+    aggregate per-size rates exactly:
+
+    * an atom (z, w) fires at rate w/z and flips a Binomial(count, z) set of
+      lines (a draw of 0 is a silent no-op);
+    * a Beta(alpha, beta) component of mass w fires at rate w * count, draws
+      z ~ Beta(alpha, beta) and k = 1 + Binomial(count - 1, z), and flips k
+      lines with probability 1/k (a rejection is a silent no-op).  Each
+      specific k-subset then switches at rate integral z^(k-1) (1-z)^(count-k)
+      of the measure, for every alpha > 0.
 
     ``stop_at_total_one=False`` keeps lanes running to the horizon so that
     the active/dormant split of the last line stays distributed correctly.
@@ -183,10 +204,6 @@ def blockcount_ensemble(
         )
     if not stop_at_total_one and horizon is None:
         raise ValueError("running past total 1 requires a horizon")
-    if params.lambda_ad.beta_components or params.lambda_da.beta_components:
-        return _ensemble_fallback(
-            s0, params, reps, horizon=horizon, stop_at_total_one=stop_at_total_one, seed=seed
-        )
 
     rng = as_rng(seed)
     n = np.full(reps, s0.n, dtype=np.int64)
@@ -201,11 +218,23 @@ def blockcount_ensemble(
     if stop_at_total_one and s0.n + s0.m == 1:
         alive[:] = False
 
-    ad_atoms = params.lambda_ad.atoms
-    da_atoms = params.lambda_da.atoms
-    # category order: merge, single deact, single act, ad atoms, da atoms
-    ncat = 3 + len(ad_atoms) + len(da_atoms)
+    # (to_dormant, ...) per clock; the Beta columns come after every atom
+    # column, so the random draws of an atom-only model do not depend on them
+    atoms = [(True, z, w / z) for z, w in params.lambda_ad.atoms]
+    atoms += [(False, z, w / z) for z, w in params.lambda_da.atoms]
+    betas = [(True, a, b, w) for a, b, w in params.lambda_ad.beta_components]
+    betas += [(False, a, b, w) for a, b, w in params.lambda_da.beta_components]
+    # category order: merge, single deact, single act, atom clocks, Beta clocks
+    ncat = 3 + len(atoms) + len(betas)
     c, K = params.c, params.K
+
+    def flip(lanes, k, to_dormant):
+        if to_dormant:
+            n[lanes] -= k
+            m[lanes] += k
+        else:
+            n[lanes] += k
+            m[lanes] -= k
 
     while alive.any():
         idx = np.flatnonzero(alive)
@@ -215,11 +244,11 @@ def blockcount_ensemble(
         rates[:, 1] = c * na
         rates[:, 2] = c * K * ma
         col = 3
-        for z, w in ad_atoms:
-            rates[:, col] = w / z
+        for _, _, rate in atoms:
+            rates[:, col] = rate
             col += 1
-        for z, w in da_atoms:
-            rates[:, col] = w / z
+        for to_dormant, _, _, w in betas:
+            rates[:, col] = w * (na if to_dormant else ma)
             col += 1
         total = rates.sum(axis=1)
 
@@ -251,26 +280,27 @@ def blockcount_ensemble(
             n[idx[sel]] -= 1
         sel = cat == 1
         if sel.any():
-            n[idx[sel]] -= 1
-            m[idx[sel]] += 1
+            flip(idx[sel], 1, True)
         sel = cat == 2
         if sel.any():
-            n[idx[sel]] += 1
-            m[idx[sel]] -= 1
+            flip(idx[sel], 1, False)
         col = 3
-        for z, _ in ad_atoms:
+        for to_dormant, z, _ in atoms:
             sel = cat == col
             if sel.any():
-                k = rng.binomial(n[idx[sel]], z)
-                n[idx[sel]] -= k
-                m[idx[sel]] += k
+                lanes = idx[sel]
+                flip(lanes, rng.binomial(n[lanes] if to_dormant else m[lanes], z), to_dormant)
             col += 1
-        for z, _ in da_atoms:
+        for to_dormant, a, b, _ in betas:
             sel = cat == col
             if sel.any():
-                l = rng.binomial(m[idx[sel]], z)
-                n[idx[sel]] += l
-                m[idx[sel]] -= l
+                lanes = idx[sel]
+                count = n[lanes] if to_dormant else m[lanes]
+                z = rng.beta(a, b, size=lanes.size)
+                k = 1 + rng.binomial(np.maximum(count - 1, 0), z)
+                k[rng.random(lanes.size) * k >= 1.0] = 0  # accept with probability 1/k
+                # the category clamp can pick an empty column by rounding; it flips nothing
+                flip(lanes, np.minimum(k, count), to_dormant)
             col += 1
 
         at_one = (n[idx] + m[idx]) == 1
@@ -284,57 +314,54 @@ def blockcount_ensemble(
     return EnsembleResult(n=n, m=m, absorption_time=absorbed_at)
 
 
-def _ensemble_fallback(s0, params, reps, *, horizon, stop_at_total_one, seed):
-    rng = as_rng(seed)
-    n = np.empty(reps, dtype=np.int64)
-    m = np.empty(reps, dtype=np.int64)
-    absorbed_at = np.full(reps, np.nan)
-    run_horizon = horizon if not stop_at_total_one else (horizon if horizon is not None else None)
-    for r in range(reps):
-        if stop_at_total_one and horizon is None:
-            path = simulate_blockcount(s0, params, seed=rng)
-        else:
-            path = simulate_blockcount(s0, params, horizon=run_horizon, seed=rng)
-        t_last, last = path[-1]
-        n[r], m[r] = last
-        for t_i, st in path:
-            if st.n + st.m == 1:
-                absorbed_at[r] = t_i
-                break
-    return EnsembleResult(n=n, m=m, absorption_time=absorbed_at)
-
-
 # ---------------------------------------------------------------------------
 # exact finite-state oracles
 # ---------------------------------------------------------------------------
 
 
 def _reachable_states(s0: BlockCountState, params: ModelParams, *, absorb_at_total_one: bool):
-    """Breadth-first enumeration of the reachable lattice."""
-    seen = {s0}
+    """Breadth-first enumeration of the reachable lattice.
+
+    Returns {state: transitions out of it} in sorted state order; with
+    ``absorb_at_total_one`` states of total 1 have no transitions.
+    """
+    moves = {}
     frontier = [s0]
     while frontier:
         nxt = []
         for s in frontier:
-            if absorb_at_total_one and s.n + s.m <= 1:
+            if s in moves:
                 continue
-            for target, _ in bc_transition_rates(s, params):
-                if target not in seen:
-                    seen.add(target)
-                    nxt.append(target)
+            absorbed = absorb_at_total_one and s.n + s.m <= 1
+            moves[s] = [] if absorbed else bc_transition_rates(s, params)
+            nxt += [target for target, _ in moves[s] if target not in moves]
         frontier = nxt
-    return sorted(seen)
+    return {s: moves[s] for s in sorted(moves)}
+
+
+def _generator(s0: BlockCountState, params: ModelParams, *, absorb_at_total_one: bool):
+    """(states, index, Q): the reachable lattice and its CSR generator."""
+    moves = _reachable_states(s0, params, absorb_at_total_one=absorb_at_total_one)
+    states = list(moves)
+    index = {s: i for i, s in enumerate(states)}
+    rows, cols, vals = [], [], []
+    for s, i in index.items():
+        for target, r in moves[s]:
+            rows += (i, i)
+            cols += (index[target], i)
+            vals += (r, -r)
+    dim = len(states)
+    Q = _sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    return states, index, Q
 
 
 def expected_tmrca_first_step(s0: BlockCountState, params: ModelParams) -> float:
     """Expected time for the total count to reach 1, by first-step analysis.
 
-    Solves E[T | s] = 1/rate(s) + sum over targets of p(s -> s') E[T | s']
-    with states of total 1 absorbing, as a dense linear system over the
-    reachable lattice.
+    Solves -Q_TT v = 1 over the transient states T (total above 1) of the
+    reachable lattice, as one sparse linear system.
     """
-    values = _first_step_solve(s0, params, rewards=("time",))
-    return float(values["time"])
+    return _first_step_solve(s0, params)[0]
 
 
 def expected_branch_lengths_first_step(
@@ -343,13 +370,14 @@ def expected_branch_lengths_first_step(
     """Expected total active and dormant line-time accumulated before the MRCA.
 
     Same linear system as the absorption time but with per-state rewards
-    n/rate(s) and m/rate(s).
+    n and m in place of 1.
     """
-    values = _first_step_solve(s0, params, rewards=("active", "dormant"))
-    return float(values["active"]), float(values["dormant"])
+    _, active, dormant = _first_step_solve(s0, params)
+    return active, dormant
 
 
-def _first_step_solve(s0, params, rewards):
+def _first_step_solve(s0, params) -> tuple[float, float, float]:
+    """Expected (absorption time, active length, dormant length) from s0."""
     s0 = BlockCountState(*s0)
     if s0.n + s0.m < 1:
         raise ValueError("need at least one line")
@@ -359,31 +387,18 @@ def _first_step_solve(s0, params, rewards):
             "and a zero dormant-to-active measure, dormant lines are stranded"
         )
     if s0.n + s0.m == 1:
-        return {name: 0.0 for name in rewards}
+        return 0.0, 0.0, 0.0
 
-    states = [s for s in _reachable_states(s0, params, absorb_at_total_one=True) if s.n + s.m > 1]
-    index = {s: i for i, s in enumerate(states)}
-    dim = len(states)
-    A = np.eye(dim)
-    b = np.zeros((dim, len(rewards)))
-    for s, i in index.items():
-        transitions = bc_transition_rates(s, params)
-        rate = math.fsum(r for _, r in transitions)
-        if rate <= 0.0:
-            raise ValueError(f"state {s} is stranded; the MRCA is unreachable")
-        for j, name in enumerate(rewards):
-            if name == "time":
-                b[i, j] = 1.0 / rate
-            elif name == "active":
-                b[i, j] = s.n / rate
-            elif name == "dormant":
-                b[i, j] = s.m / rate
-        for target, r in transitions:
-            if target.n + target.m > 1:
-                A[i, index[target]] -= r / rate
-    sol = _linalg.solve(A, b)
-    i0 = index[s0]
-    return {name: sol[i0, j] for j, name in enumerate(rewards)}
+    states, index, Q = _generator(s0, params, absorb_at_total_one=True)
+    transient = [i for i, s in enumerate(states) if s.n + s.m > 1]
+    Q_TT = Q[transient][:, transient]
+    for i, q in zip(transient, Q_TT.diagonal()):
+        if q >= 0.0:
+            raise ValueError(f"state {states[i]} is stranded; the MRCA is unreachable")
+    rewards = np.array([(1.0, states[i].n, states[i].m) for i in transient])
+    sol = spsolve((-Q_TT).tocsc(), rewards)
+    i0 = transient.index(index[s0])
+    return tuple(float(v) for v in sol[i0])
 
 
 def duality_rhs(
@@ -400,10 +415,10 @@ def duality_rhs(
 ) -> tuple[float, float]:
     """E[x^{N_t} y^{M_t}] for the chain started at (n, m), as (value, stderr).
 
-    method="exact" evaluates the transient distribution by uniformization
-    over the finite reachable lattice (no state is absorbing for this
-    computation; the last line keeps flipping marks).  The Poisson series is
-    truncated at tail mass 1e-12 and stderr is 0.
+    method="exact" applies the matrix exponential of the sparse generator
+    over the finite reachable lattice to the vector x^n y^m (no state is
+    absorbing for this computation; the last line keeps flipping marks),
+    with scipy's ``expm_multiply`` at double precision; stderr is 0.
 
     method="mc" averages x^{N_t} y^{M_t} over ``reps`` simulated paths.
     """
@@ -413,7 +428,7 @@ def duality_rhs(
         raise ValueError("t must be nonnegative")
     s0 = BlockCountState(n, m)
     if method == "exact":
-        return _duality_uniformization(s0, x, y, params, t), 0.0
+        return _duality_expm(s0, x, y, params, t), 0.0
     if method == "mc":
         res = blockcount_ensemble(
             s0, params, reps, horizon=t, stop_at_total_one=False, seed=seed
@@ -424,33 +439,10 @@ def duality_rhs(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _duality_uniformization(s0, x, y, params, t) -> float:
-    states = _reachable_states(s0, params, absorb_at_total_one=False)
-    index = {s: i for i, s in enumerate(states)}
-    dim = len(states)
-    Q = np.zeros((dim, dim))
-    for s, i in index.items():
-        for target, r in bc_transition_rates(s, params):
-            Q[i, index[target]] += r
-            Q[i, i] -= r
-    lam = float(np.max(-np.diag(Q)))
+def _duality_expm(s0, x, y, params, t) -> float:
+    states, index, Q = _generator(s0, params, absorb_at_total_one=False)
     f = np.array([float(x) ** s.n * float(y) ** s.m for s in states])
-    i0 = index[s0]
-    if lam <= 0.0 or t == 0.0:
-        return float(f[i0])
-    P = np.eye(dim) + Q / lam
-    lt = lam * t
-    acc = 0.0
-    weight_sum = 0.0
-    v = f.copy()
-    k = 0
-    while weight_sum < 1.0 - _UNIFORMIZATION_TAIL:
-        w = math.exp(k * math.log(lt) - lt - math.lgamma(k + 1))
-        acc += w * v[i0]
-        weight_sum += w
-        v = P @ v
-        k += 1
-    return float(acc)
+    return float(expm_multiply(Q * t, f)[index[s0]])
 
 
 # ---------------------------------------------------------------------------

@@ -126,13 +126,17 @@ def _settings(cfg: ExperimentConfig) -> IntegratorSettings:
 def run_coalescent(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     horizon = cfg.horizon if cfg.stop == "horizon" else None
     dom = _DOMAIN["coalescent"]
-    first = simulate_coalescent(cfg.n, cfg.m, cfg.model, horizon=horizon, seed=substream(cfg.seed, dom, 0))
+
+    def replicate(r: int):
+        return simulate_coalescent(cfg.n, cfg.m, cfg.model, horizon=horizon, seed=substream(cfg.seed, dom, r))
+
+    first = replicate(0)
     (out / "genealogy.jsonl").write_text(first.to_jsonl())
     if first.reached_mrca and first.sample_size >= 2:
         (out / "genealogy.newick").write_text(first.to_newick())
     t_list, la_list, ld_list, mrca_count = [], [], [], 0
     for r in range(cfg.reps):
-        g = simulate_coalescent(cfg.n, cfg.m, cfg.model, horizon=horizon, seed=substream(cfg.seed, dom, r))
+        g = first if r == 0 else replicate(r)
         la, ld = branch_lengths(g)
         la_list.append(la)
         ld_list.append(ld)
@@ -236,19 +240,12 @@ def _duality_task(args) -> list[tuple]:
         cfg.model, x, y, _DUALITY_EXPONENTS, times, cfg.reps,
         seed=substream(cfg.seed, dom, task_idx, 0), settings=settings,
     )
-    spontaneous = cfg.model.is_spontaneous()
     rows = []
     for n, m in _DUALITY_EXPONENTS:
         for t in times:
             mean, se = lhs[(n, m, t)]
-            if spontaneous:
-                rhs, rhs_se = duality_rhs(n, m, x, y, cfg.model, t)
-            else:
-                rhs, rhs_se = duality_rhs(
-                    n, m, x, y, cfg.model, t, method="mc", reps=cfg.reps,
-                    seed=substream(cfg.seed, dom, task_idx, 1 + n * 16 + m),
-                )
-            rows.append((n, m, x, y, t, mean, rhs, mean - rhs, math.hypot(se, rhs_se)))
+            rhs, _ = duality_rhs(n, m, x, y, cfg.model, t)
+            rows.append((n, m, x, y, t, mean, rhs, mean - rhs, se))
     return rows
 
 

@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .blockcount import BlockCountState, mrca_reachable
-from .measures import ModelParams, group_switch_rate
+from .blockcount import BlockCountState, _switch_row, mrca_reachable
+from .measures import ModelParams
+from .measures import group_switch_rate  # noqa: F401  kept bound: perfbench/tracing.py wraps it here
 from .streams import as_rng
 
 __all__ = [
@@ -241,6 +242,17 @@ class Genealogy:
         return "# marks (active/dormant) omitted\n" + node[root] + ";\n"
 
 
+def _categories(a: int, d: int, params: ModelParams) -> list[tuple[str, int, float]]:
+    """(kind, size, rate) for merge, deactivations by size, activations by size."""
+    cats = [(MERGE, 0, a * (a - 1) / 2.0)]
+    cats += [(TO_DORMANT, j, r) for j, r in enumerate(_switch_row(params.lambda_ad, a, params.c), 1)]
+    cats += [
+        (TO_ACTIVE, j, r)
+        for j, r in enumerate(_switch_row(params.lambda_da, d, params.c * params.K), 1)
+    ]
+    return cats
+
+
 def partition_transition_rates(state: MarkedPartition, params: ModelParams) -> dict:
     """Total rate per event kind out of a marked partition.
 
@@ -249,19 +261,10 @@ def partition_transition_rates(state: MarkedPartition, params: ModelParams) -> d
     j-subsets of the eligible blocks (the simulator picks the subset
     uniformly afterwards, which matches the per-subset rates by symmetry).
     """
-    a, d = state.counts()
-    rates: dict = {("merge",): a * (a - 1) / 2.0}
-    for j in range(1, a + 1):
-        r = group_switch_rate(params.lambda_ad, a, j) if not params.lambda_ad.is_zero() else 0.0
-        if j == 1:
-            r += params.c * a
-        rates[(TO_DORMANT, j)] = r
-    for j in range(1, d + 1):
-        r = group_switch_rate(params.lambda_da, d, j) if not params.lambda_da.is_zero() else 0.0
-        if j == 1:
-            r += params.c * params.K * d
-        rates[(TO_ACTIVE, j)] = r
-    return rates
+    return {
+        (kind,) if kind == MERGE else (kind, j): r
+        for kind, j, r in _categories(*state.counts(), params)
+    }
 
 
 def simulate_coalescent(
@@ -294,18 +297,7 @@ def simulate_coalescent(
     g = Genealogy(n_active=n, m_dormant=m)
     t = 0.0
     while len(active) + len(dormant) > 1:
-        a, d = len(active), len(dormant)
-        cats: list[tuple[str, int, float]] = [(MERGE, 0, a * (a - 1) / 2.0)]
-        for j in range(1, a + 1):
-            r = group_switch_rate(params.lambda_ad, a, j) if not params.lambda_ad.is_zero() else 0.0
-            if j == 1:
-                r += params.c * a
-            cats.append((TO_DORMANT, j, r))
-        for j in range(1, d + 1):
-            r = group_switch_rate(params.lambda_da, d, j) if not params.lambda_da.is_zero() else 0.0
-            if j == 1:
-                r += params.c * params.K * d
-            cats.append((TO_ACTIVE, j, r))
+        cats = _categories(len(active), len(dormant), params)
         total = math.fsum(r for _, _, r in cats)
         if total <= 0.0:
             break  # stranded; only reachable under a horizon

@@ -32,7 +32,6 @@ from scipy import integrate as _sciint
 from .measures import (
     ModelParams,
     SwitchingMeasure,
-    jump_activity_above,
     small_jump_mass,
 )
 from .streams import as_rng

@@ -4,10 +4,7 @@ A :class:`SwitchingMeasure` is a finite measure on (0, 1] represented as a
 list of point atoms plus a list of Beta-density components.  Two of them
 (one per switching direction) drive the coordinated dormancy events of the
 coalescent, the block-counting chain and the jump diffusion.  All rate
-integrals the simulators need reduce to closed forms in this class, except
-for the 1/z-weighted integrals of Beta components, which are evaluated by
-adaptive quadrature (relative tolerance 1e-10; the integrand is smooth and
-bounded away from z = 0).
+integrals the simulators need reduce to closed forms in this class.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy import integrate as _integrate
 from scipy import special as _special
 
 __all__ = [
@@ -23,14 +19,11 @@ __all__ = [
     "ModelParams",
     "total_mass",
     "group_switch_rate",
-    "jump_activity_above",
     "small_jump_mass",
     "neg_log_moment",
     "total_flip_rate",
     "sample_location",
 ]
-
-_QUAD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -124,18 +117,6 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def jump_activity_above(m: SwitchingMeasure, eps: float) -> float:
-    """Rate integral of 1/z over [eps, 1]; the arrival rate of jumps >= eps."""
-    _check_eps(eps)
-    out = math.fsum(w / z for z, w in m.atoms if z >= eps)
-    for a, b, mass in m.beta_components:
-        val, _ = _integrate.quad(
-            lambda z: _beta_pdf(z, a, b) / z, eps, 1.0, epsrel=_QUAD_RTOL, epsabs=0.0, limit=500
-        )
-        out += mass * val
-    return out
-
-
 def small_jump_mass(m: SwitchingMeasure, eps: float) -> float:
     """Mass of [0, eps); coefficient of the compensating drift for truncated jumps."""
     _check_eps(eps)
@@ -165,8 +146,9 @@ def neg_log_moment(m: SwitchingMeasure) -> float:
 def total_flip_rate(m: SwitchingMeasure, b: int) -> float:
     """Sum over k = 1..b of group_switch_rate(m, b, k).
 
-    Equals the integral of (1 - (1-z)^b) / z m(dz); closed form for atoms,
-    quadrature for Beta components.
+    Equals the integral of (1 - (1-z)^b) / z m(dz), in closed form: for a
+    Beta(a, bb) component, (1 - (1-z)^b) / z = sum over j < b of (1-z)^j,
+    whose Beta mean is the rising-factorial ratio (bb)_j / (a+bb)_j.
     """
     if b < 1:
         raise ValueError(f"need at least one eligible block, got b={b}")
@@ -174,15 +156,10 @@ def total_flip_rate(m: SwitchingMeasure, b: int) -> float:
     for z, w in m.atoms:
         out += w * -math.expm1(b * math.log1p(-z)) / z if z < 1.0 else w / z
     for a, bb, mass in m.beta_components:
-        val, _ = _integrate.quad(
-            lambda z: -math.expm1(b * math.log1p(-z)) / z * _beta_pdf(z, a, bb),
-            0.0,
-            1.0,
-            epsrel=_QUAD_RTOL,
-            epsabs=0.0,
-            limit=500,
-        )
-        out += mass * val
+        moments = [1.0]
+        for j in range(b - 1):
+            moments.append(moments[-1] * (bb + j) / (a + bb + j))
+        out += mass * math.fsum(moments)
     return out
 
 

@@ -113,6 +113,41 @@ def test_ensemble_matches_first_step_with_atoms():
         assert abs(mean - want) <= 3.5 * se
 
 
+BETA_MODELS = [
+    # the README model: an atom and a Beta(2, 2) component to dormancy
+    ModelParams(
+        c=1.0,
+        K=2.0,
+        lambda_ad=SwitchingMeasure(atoms=((0.5, 0.4),), beta_components=((2.0, 2.0, 0.6),)),
+        lambda_da=SwitchingMeasure.atom(0.3, 0.5),
+    ),
+    # alpha <= 1 on both sides and no spontaneous switching
+    ModelParams(
+        c=0.0,
+        K=1.0,
+        lambda_ad=SwitchingMeasure(beta_components=((0.5, 2.0, 0.8),)),
+        lambda_da=SwitchingMeasure(beta_components=((0.3, 0.7, 1.0),)),
+    ),
+]
+
+
+@pytest.mark.parametrize("p", BETA_MODELS)
+def test_ensemble_matches_first_step_with_beta(p):
+    for s0 in (BlockCountState(4, 1), BlockCountState(2, 2)):
+        want = expected_tmrca_first_step(s0, p)
+        res = blockcount_ensemble(s0, p, 20_000, seed=9)
+        mean = res.absorption_time.mean()
+        se = res.absorption_time.std(ddof=1) / math.sqrt(20_000)
+        assert abs(mean - want) <= 3.5 * se
+
+
+@pytest.mark.parametrize("p", BETA_MODELS)
+def test_ensemble_horizon_matches_exact_duality_with_beta(p):
+    exact, _ = duality_rhs(3, 2, 0.4, 0.7, p, 0.6)
+    mc, se = duality_rhs(3, 2, 0.4, 0.7, p, 0.6, method="mc", reps=40_000, seed=10)
+    assert abs(mc - exact) <= 3.5 * se
+
+
 def test_duality_exact_at_zero_and_one():
     for n, m, x, y in [(2, 1, 0.3, 0.8), (1, 0, 0.0, 0.5), (0, 2, 0.7, 0.2)]:
         val, se = duality_rhs(n, m, x, y, P11, 0.0)

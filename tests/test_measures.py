@@ -8,7 +8,6 @@ from seedbank.measures import (
     ModelParams,
     SwitchingMeasure,
     group_switch_rate,
-    jump_activity_above,
     neg_log_moment,
     sample_location,
     small_jump_mass,
@@ -109,18 +108,6 @@ def test_rates_scale_with_mass():
         assert group_switch_rate(doubled, b, k) == pytest.approx(
             2 * group_switch_rate(MIXED, b, k), rel=1e-12
         )
-
-
-def test_jump_activity_examples():
-    assert jump_activity_above(SwitchingMeasure.zero(), 0.1) == 0.0
-    assert jump_activity_above(ATOM, 0.1) == pytest.approx(0.8, abs=1e-15)
-    # closed-form antiderivative of 6(1-z): 6z - 3z^2 on [0.25, 1]
-    assert jump_activity_above(BETA22, 0.25) == pytest.approx(1.6875, rel=1e-9)
-
-
-def test_jump_activity_monotone_in_cutoff():
-    vals = [jump_activity_above(MIXED, eps) for eps in (0.05, 0.1, 0.3, 0.6, 0.9)]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_small_jump_mass_examples():
