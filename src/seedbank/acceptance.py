@@ -72,7 +72,7 @@ class CriterionResult:
     detail: dict
 
 
-def _c01_rate_tables(seed, workers) -> CriterionResult:
+def _c01_rate_tables(seed) -> CriterionResult:
     p = ModelParams(c=2.0, K=0.5)
     got = dict(bc_transition_rates(BlockCountState(3, 2), p))
     want = {
@@ -101,7 +101,7 @@ def _c01_rate_tables(seed, workers) -> CriterionResult:
     )
 
 
-def _c02_first_step(seed, workers) -> CriterionResult:
+def _c02_first_step(seed) -> CriterionResult:
     p = ModelParams(c=1.0, K=1.0)
     oracle = expected_tmrca_first_step(BlockCountState(2, 0), p)
     res = blockcount_ensemble(
@@ -145,7 +145,7 @@ def _duality_grid_check(params, reps_lhs, rhs_mc_reps, seed, tol_extra):
     return worst
 
 
-def _c03_duality_spontaneous(seed, workers) -> CriterionResult:
+def _c03_duality_spontaneous(seed) -> CriterionResult:
     worst = _duality_grid_check(
         ModelParams(c=1.0, K=1.0), reps_lhs=10_000, rhs_mc_reps=None,
         seed=seed, tol_extra=0.01,
@@ -155,7 +155,7 @@ def _c03_duality_spontaneous(seed, workers) -> CriterionResult:
     )
 
 
-def _c04_duality_simultaneous(seed, workers) -> CriterionResult:
+def _c04_duality_simultaneous(seed) -> CriterionResult:
     lam = SwitchingMeasure.atom(0.5, 0.5)
     params = ModelParams(c=1.0, K=1.0, lambda_ad=lam, lambda_da=lam)
     worst = _duality_grid_check(
@@ -166,7 +166,7 @@ def _c04_duality_simultaneous(seed, workers) -> CriterionResult:
     )
 
 
-def _c05_fixation_law(seed, workers) -> CriterionResult:
+def _c05_fixation_law(seed) -> CriterionResult:
     cases = (
         (0.3, 0.7, 1.0),
         (0.3, 0.7, 2.0),
@@ -203,7 +203,7 @@ def _c05_fixation_law(seed, workers) -> CriterionResult:
     return CriterionResult("05", "fixation law, diffusion and forward model", ok, detail)
 
 
-def _c06_delay(seed, workers) -> CriterionResult:
+def _c06_delay(seed) -> CriterionResult:
     p = ModelParams(c=1.0, K=1.0)
     residuals = {}
     for level, dt in enumerate((1e-4, 5e-5)):
@@ -228,7 +228,7 @@ def _c06_delay(seed, workers) -> CriterionResult:
     )
 
 
-def _c07_martingale(seed, workers) -> CriterionResult:
+def _c07_martingale(seed) -> CriterionResult:
     p = ModelParams(c=1.0, K=1.0)
     rows = martingale_drift(
         p, (0.3, 0.7), 10.0, [1.0, 5.0, 10.0], 10_000,
@@ -240,7 +240,7 @@ def _c07_martingale(seed, workers) -> CriterionResult:
     return CriterionResult("07", "conserved mean of K*X + Y", ok, detail)
 
 
-def _c08_tmrca_scaling(seed, workers) -> CriterionResult:
+def _c08_tmrca_scaling(seed) -> CriterionResult:
     p = ModelParams(c=1.0, K=1.0)
     rows = tmrca_loglog_scan(p, [100, 1000, 10_000], 1000, seed=substream(seed, 9, 80))
     means = [r.mean for r in rows]
@@ -254,7 +254,7 @@ def _c08_tmrca_scaling(seed, workers) -> CriterionResult:
     )
 
 
-def _c09_coming_down(seed, workers) -> CriterionResult:
+def _c09_coming_down(seed) -> CriterionResult:
     lam = SwitchingMeasure.atom(0.5, 1.0)
     stable = coming_down_scan(
         ModelParams(c=0.0, K=1.0, lambda_ad=lam), [100, 1000, 10_000], 0.05, 2000,
@@ -279,7 +279,7 @@ def _c09_coming_down(seed, workers) -> CriterionResult:
     )
 
 
-def _c10_mutation_oracle(seed, workers) -> CriterionResult:
+def _c10_mutation_oracle(seed) -> CriterionResult:
     p = ModelParams(c=1.0, K=1.0, u_active=1.0, u_dormant=0.5)
     reps = 100_000
     seg = np.empty(reps)
@@ -301,7 +301,7 @@ def _c10_mutation_oracle(seed, workers) -> CriterionResult:
     )
 
 
-def _c11_statistics(seed, workers) -> CriterionResult:
+def _c11_statistics(seed) -> CriterionResult:
     s1 = SiteFrequencySpectrum(4, (3, 0, 0))
     s2 = SiteFrequencySpectrum(4, (0, 0, 3))
     s3 = SiteFrequencySpectrum(4, (1, 2, 0))
@@ -340,7 +340,7 @@ def _c11_statistics(seed, workers) -> CriterionResult:
     )
 
 
-def _c12_boundary_proxy(seed, workers) -> CriterionResult:
+def _c12_boundary_proxy(seed) -> CriterionResult:
     p_mut = ModelParams(c=1.0, K=1.0, u2=0.6)
     settings = IntegratorSettings(horizon=50.0, dt=1e-3)
     out = boundary_hitting_stats(
@@ -370,7 +370,7 @@ def _c12_boundary_proxy(seed, workers) -> CriterionResult:
     )
 
 
-def _c13_determinism(seed, workers) -> CriterionResult:
+def _c13_determinism(seed) -> CriterionResult:
     from .cli import run_experiment
 
     base = ExperimentConfig(
@@ -447,14 +447,14 @@ CRITERIA: tuple[Callable, ...] = (
 )
 
 
-def run_acceptance(seed: int = 0, workers: int = 1, echo=None, only=None) -> list[CriterionResult]:
+def run_acceptance(seed: int = 0, echo=None, only=None) -> list[CriterionResult]:
     """Run all (or the selected) criteria, echoing one PASS/FAIL line each."""
     results = []
     for fn in CRITERIA:
         ident = fn.__name__[2:4]
         if only is not None and ident not in only:
             continue
-        res = fn(seed, workers)
+        res = fn(seed)
         results.append(res)
         if echo is not None:
             key_bits = ", ".join(

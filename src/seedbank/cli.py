@@ -35,7 +35,7 @@ from .blockcount import (
 )
 from .coalescent import branch_lengths, simulate_coalescent, tmrca
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config, serialize_config
-from .diffusion import IntegratorSettings, duality_lhs_grid, fixation_stats, integrate
+from .diffusion import IntegratorSettings, duality_lhs_grid, integrate
 from .forward_wf import WFConfig, run_trajectory, wf_ensemble
 from .mutation_stats import (
     drop_mutations,
@@ -337,10 +337,10 @@ def run_stats(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     write_json(out / "summary.json", payload, cfg)
 
 
-def run_acceptance_experiment(cfg: ExperimentConfig, out: Path, workers: int) -> bool:
+def run_acceptance_experiment(cfg: ExperimentConfig, out: Path) -> bool:
     from .acceptance import run_acceptance
 
-    results = run_acceptance(seed=cfg.seed, workers=workers, echo=print)
+    results = run_acceptance(seed=cfg.seed, echo=print)
     write_json(
         out / "acceptance.json",
         {
@@ -371,7 +371,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg.experiment == "acceptance":
-        ok = run_acceptance_experiment(cfg, out, workers)
+        ok = run_acceptance_experiment(cfg, out)
         return 0 if ok else 1
     try:
         _RUNNERS[cfg.experiment](cfg, out, workers)

@@ -90,7 +90,6 @@ class ExperimentConfig:
     horizon: float = 2.0
     jump_cutoff: float = 1e-3
     boundary_tol: float = 0.0
-    corner_tol: float = 1e-6
     noise_model: str = "binomial"
     record_every: int = 1
 
@@ -123,7 +122,6 @@ _NUMERIC_KEYS = {
     "T": float,
     "eps": float,
     "boundary_tol": float,
-    "corner_tol": float,
     "noise_model": str,
     "record_every": int,
 }

@@ -17,23 +17,24 @@ dt-refinement so that discretization-induced hits are visible.
 
 A scalar integrator produces full :class:`Trajectory` records (used by the
 delay-representation check); a vectorized batch engine drives the Monte
-Carlo experiments (duality, martingale, fixation, boundary hitting).
+Carlo experiments (duality, martingale, fixation, boundary hitting).  Both
+read one set of drift coefficients and one jump schedule, and both move a
+path through its jumps with one interleave.  There is one scalar Euler step,
+shared by ``integrate`` and the batch engine's jump lanes, and one
+vectorized step for the batch engine's clean lanes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate as _sciint
 
-from .measures import (
-    ModelParams,
-    SwitchingMeasure,
-    small_jump_mass,
-)
+from .measures import ModelParams, small_jump_mass
 from .streams import as_rng
 
 __all__ = [
@@ -166,37 +167,29 @@ class _BetaJumpSampler:
         return lo + frac * (hi - lo)
 
 
-class _JumpProcess:
-    """The marked Poisson process of one measure's jumps above the cutoff."""
+def _schedule(params: ModelParams, eps: float, horizon: float, reps: int, rng):
+    """Jumps of size >= eps on [0, horizon] for ``reps`` lanes.
 
-    def __init__(self, measure: SwitchingMeasure, eps: float):
-        self.atom_rates = [(z, w / z) for z, w in measure.atoms if z >= eps]
-        self.beta = [_BetaJumpSampler(a, b, m, eps) for a, b, m in measure.beta_components]
-        self.total_rate = sum(r for _, r in self.atom_rates) + sum(s.activity for s in self.beta)
-
-    def schedule_batch(self, horizon, reps, rng):
-        """Event arrays (time, lane, z) over [0, horizon] for all lanes."""
-        times, lanes, zs = [], [], []
-        for z, rate in self.atom_rates:
+    Returns arrays (t, lane, z, is_f) sorted by (t, lane); is_f marks F-type
+    jumps (active->dormant measure).  Every atom and Beta component is its own
+    Poisson clock, drawn in the order F atoms, F Beta components, D atoms, D
+    Beta components; equal (t, lane) pairs keep that order.
+    """
+    parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=bool))]
+    for measure, is_f in ((params.lambda_ad, True), (params.lambda_da, False)):
+        clocks = [(w / z, lambda n, rng, z=z: np.full(n, z)) for z, w in measure.atoms if z >= eps]
+        for a, b, mass in measure.beta_components:
+            sampler = _BetaJumpSampler(a, b, mass, eps)
+            clocks.append((sampler.activity, sampler.sample))
+        for rate, draw_sizes in clocks:
             counts = rng.poisson(rate * horizon, size=reps)
             tot = int(counts.sum())
-            times.append(rng.random(tot) * horizon)
-            lanes.append(np.repeat(np.arange(reps), counts))
-            zs.append(np.full(tot, z))
-        for sampler in self.beta:
-            counts = rng.poisson(sampler.activity * horizon, size=reps)
-            tot = int(counts.sum())
-            times.append(rng.random(tot) * horizon)
-            lanes.append(np.repeat(np.arange(reps), counts))
-            zs.append(sampler.sample(tot, rng))
-        if not times:
-            return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
-        return np.concatenate(times), np.concatenate(lanes), np.concatenate(zs)
-
-    def schedule_single(self, horizon, rng):
-        t, _, z = self.schedule_batch(horizon, 1, rng)
-        order = np.argsort(t, kind="stable")
-        return list(zip(t[order].tolist(), z[order].tolist()))
+            times = rng.random(tot) * horizon
+            lanes = np.repeat(np.arange(reps), counts)
+            parts.append((times, lanes, draw_sizes(tot, rng), np.full(tot, is_f)))
+    t, lane, z, is_f = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((lane, t))
+    return t[order], lane[order], z[order], is_f[order]
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +198,69 @@ class _JumpProcess:
 
 
 def _drift_coefficients(params: ModelParams, eps: float):
-    sj_ad = small_jump_mass(params.lambda_ad, eps) if not params.lambda_ad.is_zero() else 0.0
-    sj_da = small_jump_mass(params.lambda_da, eps) if not params.lambda_da.is_zero() else 0.0
-    return sj_ad, sj_da
+    """Plain floats (u1, u2, u1', u2', pull_f, pull_d) of the Euler drift
+
+        dx = -u1 x + u2 (1-x) + pull_f (y - x)
+        dy = -u1' y + u2' (1-y) + pull_d (x - y)
+
+    where the pulls add each measure's mass below the cutoff to the
+    spontaneous rates c and c K.
+    """
+    return (
+        float(params.u1),
+        float(params.u2),
+        float(params.u1p),
+        float(params.u2p),
+        params.c + float(small_jump_mass(params.lambda_ad, eps)),
+        params.c * params.K + float(small_jump_mass(params.lambda_da, eps)),
+    )
+
+
+def _euler_scalar(x, y, h, coeffs, noise, binomial, rng):
+    """One Euler step of length h from (x, y), clamped to the unit square."""
+    u1, u2, u1p, u2p, pull_f, pull_d = coeffs
+    xn = x + (-u1 * x + u2 * (1.0 - x) + pull_f * (y - x)) * h
+    if noise:
+        if binomial:
+            n_eff = max(int(round(1.0 / h)), 1)
+            xn = float(rng.binomial(n_eff, min(max(xn, 0.0), 1.0))) / n_eff
+        else:
+            xn += math.sqrt(max(x * (1.0 - x), 0.0)) * math.sqrt(h) * float(rng.standard_normal())
+    yn = y + (-u1p * y + u2p * (1.0 - y) + pull_d * (x - y)) * h
+    return min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0)
+
+
+def _advance(x, y, t_from, t_to, events, step):
+    """Move one path from t_from to t_to through its jumps.
+
+    ``events`` holds (t, is_f, z) in time order with t <= t_to.  The Euler
+    ``step(x, y, h)`` is shortened to land on each jump time, the jump is
+    applied and clamped, and stepping resumes.
+    """
+    for t, is_f, z in events:
+        if t > t_from:
+            x, y = step(x, y, t - t_from)
+            t_from = t
+        if is_f:
+            x = min(max(x + z * (y - x), 0.0), 1.0)
+        else:
+            y = min(max(y + z * (x - y), 0.0), 1.0)
+    if t_to > t_from:
+        x, y = step(x, y, t_to - t_from)
+    return x, y
+
+
+class _Normals:
+    """An explicit standard-normal sequence in place of the generator's draws."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def standard_normal(self):
+        v = next(self._values, None)
+        if v is None:
+            raise ValueError("normals array exhausted before the horizon")
+        return v
 
 
 def _knots(horizon: float, dt: float, extra: Sequence[float]):
@@ -273,75 +326,36 @@ def integrate(
     """
     s0 = DiffusionState(*_as_pair(s0))
     rng = as_rng(seed)
-    eps = settings.jump_cutoff
-    sj_ad, sj_da = _drift_coefficients(params, eps)
-    has_jumps = not (params.lambda_ad.is_zero() and params.lambda_da.is_zero())
-    if normals is not None and (has_jumps or settings.noise_model != "gaussian"):
+    if normals is not None and (not params.is_spontaneous() or settings.noise_model != "gaussian"):
         raise ValueError("explicit normals need the gaussian noise model and no jump measures")
-    schedule: list[tuple[float, str, float]] = []
-    if has_jumps:
-        for t, z in _JumpProcess(params.lambda_ad, eps).schedule_single(settings.horizon, rng):
-            schedule.append((t, F_TYPE, z))
-        for t, z in _JumpProcess(params.lambda_da, eps).schedule_single(settings.horizon, rng):
-            schedule.append((t, D_TYPE, z))
-        schedule.sort()
+    schedule = _schedule(params, settings.jump_cutoff, settings.horizon, 1, rng)
+    ev_t, _, ev_z, ev_f = (a.tolist() for a in schedule)
+    events = list(zip(ev_t, ev_f, ev_z))
 
-    c, K = params.c, params.K
-    u1, u2, u1p, u2p = params.u1, params.u2, params.u1p, params.u2p
+    coeffs = _drift_coefficients(params, settings.jump_cutoff)
+    binomial = settings.noise_model == "binomial"
+    source = rng if normals is None else _Normals(normals)
+
+    def step(x, y, h):
+        return _euler_scalar(x, y, h, coeffs, noise, binomial, source)
+
     x, y = s0.x, s0.y
     abs00, abs11 = _corner_absorbing(params)
-
     times, _ = _knots(settings.horizon, settings.dt, ())
     rec_t = [0.0]
     rec_x = [x]
     rec_y = [y]
     jumps: list[tuple[float, str, float]] = []
-    normal_pos = 0
-
-    def pull_normal() -> float:
-        nonlocal normal_pos
-        if normals is not None:
-            if normal_pos >= len(normals):
-                raise ValueError("normals array exhausted before the horizon")
-            v = float(normals[normal_pos])
-            normal_pos += 1
-            return v
-        return float(rng.standard_normal())
-
-    binomial = settings.noise_model == "binomial"
-
-    def euler(xc, yc, h):
-        dx = -u1 * xc + u2 * (1.0 - xc) + c * (yc - xc) + (yc - xc) * sj_ad
-        dy = -u1p * yc + u2p * (1.0 - yc) + c * K * (xc - yc) + (xc - yc) * sj_da
-        xn = xc + dx * h
-        if noise:
-            if binomial:
-                n_eff = max(int(round(1.0 / h)), 1)
-                xn = rng.binomial(n_eff, min(max(xn, 0.0), 1.0)) / n_eff
-            else:
-                xn += math.sqrt(max(xc * (1.0 - xc), 0.0)) * math.sqrt(h) * pull_normal()
-        yn = yc + dy * h
-        return min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0)
-
-    sched_pos = 0
+    ev_pos = 0
     t_prev = 0.0
     frozen = False
     for k, t_cur in enumerate(times, start=1):
         if not frozen:
-            tt = t_prev
-            while sched_pos < len(schedule) and schedule[sched_pos][0] <= t_cur:
-                s_t, s_kind, s_z = schedule[sched_pos]
-                sched_pos += 1
-                if s_t > tt:
-                    x, y = euler(x, y, s_t - tt)
-                    tt = s_t
-                if s_kind == F_TYPE:
-                    x = min(max(x + s_z * (y - x), 0.0), 1.0)
-                else:
-                    y = min(max(y + s_z * (x - y), 0.0), 1.0)
-                jumps.append((s_t, s_kind, s_z))
-            if t_cur > tt:
-                x, y = euler(x, y, t_cur - tt)
+            ev_end = bisect_right(ev_t, t_cur, ev_pos)
+            window = events[ev_pos:ev_end]
+            ev_pos = ev_end
+            x, y = _advance(x, y, t_prev, t_cur, window, step)
+            jumps += [(t, F_TYPE if is_f else D_TYPE, z) for t, is_f, z in window]
             if (x == 0.0 and y == 0.0 and abs00) or (x == 1.0 and y == 1.0 and abs11):
                 frozen = True  # exact fixed point of every term; path is constant now
         if k % settings.record_every == 0 or t_cur == times[-1]:
@@ -427,7 +441,6 @@ def batch_paths(
     snapshot_times: Sequence[float] = (),
     track_hits: bool = False,
     freeze_corner_tol: Optional[float] = None,
-    noise: bool = True,
 ) -> BatchResult:
     """Integrate ``reps`` independent paths in lockstep.
 
@@ -440,24 +453,14 @@ def batch_paths(
     """
     rng = as_rng(seed)
     eps = settings.jump_cutoff
-    sj_ad, sj_da = _drift_coefficients(params, eps)
-    c, K = params.c, params.K
-    u1, u2, u1p, u2p = params.u1, params.u2, params.u1p, params.u2p
+    ev_t, ev_lane, ev_z, ev_isf = _schedule(params, eps, settings.horizon, reps, rng)
+    coeffs = _drift_coefficients(params, eps)
+    u1, u2, u1p, u2p, pull_f, pull_d = coeffs
     binomial = settings.noise_model == "binomial"
     abs00, abs11 = _corner_absorbing(params)
 
-    proc_f = _JumpProcess(params.lambda_ad, eps)
-    proc_d = _JumpProcess(params.lambda_da, eps)
-    ev_parts = []
-    for proc, is_f in ((proc_f, True), (proc_d, False)):
-        t_e, lane_e, z_e = proc.schedule_batch(settings.horizon, reps, rng)
-        ev_parts.append((t_e, lane_e, z_e, np.full(t_e.size, is_f)))
-    ev_t = np.concatenate([p[0] for p in ev_parts])
-    ev_lane = np.concatenate([p[1] for p in ev_parts])
-    ev_z = np.concatenate([p[2] for p in ev_parts])
-    ev_isf = np.concatenate([p[3] for p in ev_parts])
-    order = np.lexsort((ev_lane, ev_t))
-    ev_t, ev_lane, ev_z, ev_isf = ev_t[order], ev_lane[order], ev_z[order], ev_isf[order]
+    def step(xl, yl, h):
+        return _euler_scalar(xl, yl, h, coeffs, True, binomial, rng)
 
     x = np.full(reps, float(x0))
     y = np.full(reps, float(y0))
@@ -468,7 +471,7 @@ def batch_paths(
         if track_hits
         else None
     )
-    jump_counts = {"F": 0, "D": 0}
+    jump_counts = {F_TYPE: 0, D_TYPE: 0}
 
     def record_hits(idx):
         if hits is None:
@@ -505,7 +508,6 @@ def batch_paths(
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
     ev_pos = 0
     t_prev = 0.0
-    sqrt = math.sqrt
     for knot_i, t_cur in enumerate(times):
         h = t_cur - t_prev
         if h > 0.0 and active.any():
@@ -525,42 +527,27 @@ def batch_paths(
                 clean = idx
             if clean.size:
                 xc, yc = x[clean], y[clean]
-                dx = -u1 * xc + u2 * (1.0 - xc) + (c + sj_ad) * (yc - xc)
-                dy = -u1p * yc + u2p * (1.0 - yc) + (c * K + sj_da) * (xc - yc)
-                xn = xc + dx * h
-                if noise:
-                    if binomial:
-                        n_eff = max(int(round(1.0 / h)), 1)
-                        xn = rng.binomial(n_eff, np.clip(xn, 0.0, 1.0)) / n_eff
-                    else:
-                        xn = xn + np.sqrt(np.maximum(xc * (1.0 - xc), 0.0)) * sqrt(h) * rng.standard_normal(clean.size)
+                xn = xc + (-u1 * xc + u2 * (1.0 - xc) + pull_f * (yc - xc)) * h
+                if binomial:
+                    n_eff = max(int(round(1.0 / h)), 1)
+                    xn = rng.binomial(n_eff, np.clip(xn, 0.0, 1.0)) / n_eff
+                else:
+                    scale = np.sqrt(np.maximum(xc * (1.0 - xc), 0.0)) * math.sqrt(h)
+                    xn = xn + scale * rng.standard_normal(clean.size)
+                yn = yc + (-u1p * yc + u2p * (1.0 - yc) + pull_d * (xc - yc)) * h
                 x[clean] = np.clip(xn, 0.0, 1.0)
-                y[clean] = np.clip(yc + dy * h, 0.0, 1.0)
+                y[clean] = np.clip(yn, 0.0, 1.0)
                 record_hits(clean)
             if jump_set.size:
-                w_t, w_z, w_isf = ev_t[window], ev_z[window], ev_isf[window]
-                for lane in jump_set:
+                w_t, w_isf, w_z = ev_t[window], ev_isf[window], ev_z[window]
+                for lane in jump_set.tolist():
                     sel = w_lanes == lane
-                    xl, yl = float(x[lane]), float(y[lane])
-                    tt = t_prev
-                    for s_t, s_z, s_f in zip(w_t[sel], w_z[sel], w_isf[sel]):
-                        hh = s_t - tt
-                        if hh > 0.0:
-                            xl, yl = _euler_scalar(
-                                xl, yl, hh, params, sj_ad, sj_da, noise, binomial, rng
-                            )
-                            tt = s_t
-                        if s_f:
-                            xl = min(max(xl + s_z * (yl - xl), 0.0), 1.0)
-                            jump_counts["F"] += 1
-                        else:
-                            yl = min(max(yl + s_z * (xl - yl), 0.0), 1.0)
-                            jump_counts["D"] += 1
-                    if t_cur > tt:
-                        xl, yl = _euler_scalar(
-                            xl, yl, t_cur - tt, params, sj_ad, sj_da, noise, binomial, rng
-                        )
-                    x[lane], y[lane] = xl, yl
+                    events = list(zip(w_t[sel].tolist(), w_isf[sel].tolist(), w_z[sel].tolist()))
+                    x[lane], y[lane] = _advance(
+                        float(x[lane]), float(y[lane]), t_prev, t_cur, events, step
+                    )
+                    for _, is_f, _ in events:
+                        jump_counts[F_TYPE if is_f else D_TYPE] += 1
                 record_hits(jump_set)
             freeze(idx)
         if knot_i in snap_map:
@@ -583,19 +570,6 @@ def batch_paths(
         frozen_at=frozen_at,
         jump_counts=jump_counts,
     )
-
-
-def _euler_scalar(x, y, h, params, sj_ad, sj_da, noise, binomial, rng):
-    dx = -params.u1 * x + params.u2 * (1.0 - x) + (params.c + sj_ad) * (y - x)
-    dy = -params.u1p * y + params.u2p * (1.0 - y) + (params.c * params.K + sj_da) * (x - y)
-    xn = x + dx * h
-    if noise:
-        if binomial:
-            n_eff = max(int(round(1.0 / h)), 1)
-            xn = float(rng.binomial(n_eff, min(max(xn, 0.0), 1.0))) / n_eff
-        else:
-            xn += math.sqrt(max(x * (1.0 - x), 0.0)) * math.sqrt(h) * float(rng.standard_normal())
-    return min(max(xn, 0.0), 1.0), min(max(y + dy * h, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

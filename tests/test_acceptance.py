@@ -17,7 +17,7 @@ _BY_IDENT = {fn.__name__[2:4]: fn for fn in CRITERIA}
 
 
 def _run(ident):
-    res = _BY_IDENT[ident](SEED, 1)
+    res = _BY_IDENT[ident](SEED)
     print(f"{'PASS' if res.passed else 'FAIL'} {res.ident} {res.name}: {res.detail}")
     return res
 

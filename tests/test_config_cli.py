@@ -81,13 +81,14 @@ def test_range_error_names_key_and_line():
 
 
 def test_unknown_keys_and_sections_with_lines():
-    text = "[model]\nspeed = 3\n\n[warp]\nx = 1\n\n[numeric]\nreps = zero\n"
+    text = "[model]\nspeed = 3\n\n[warp]\nx = 1\n\n[numeric]\nreps = zero\ncorner_tol = 1e-6\n"
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     msgs = {ln: msg for ln, msg in err.value.errors}
     assert 2 in msgs and "speed" in msgs[2]
     assert 4 in msgs and "warp" in msgs[4]
     assert 8 in msgs and "reps" in msgs[8]
+    assert 9 in msgs and "unknown key 'corner_tol'" in msgs[9]
 
 
 def test_measure_line_errors():
@@ -208,12 +209,29 @@ def test_cli_genealogy_and_trajectory_outputs(tmp_path):
     assert fix["fixed_all_type0"] + fix["fixed_all_type1"] + fix["unfixed"] == 150
 
 
+def test_cli_diffusion_beta_model_writes_json_booleans(tmp_path):
+    # a Beta component makes the sub-cutoff jump mass a numpy scalar; the
+    # summary must still serialize its flags as JSON booleans
+    text = (
+        "[run]\nseed = 7\n\n"
+        "[model]\nc = 1.0\nK = 2.0\nu_active = 1.0\nu_dormant = 0.5\n\n"
+        "[to-dormant]\natom 0.5 0.4\nbeta 2.0 2.0 0.6\n\n"
+        "[to-active]\nbeta 0.5 2.0 0.3\n\n"
+        "[experiment]\nkind = diffusion\n\n"
+        "[numeric]\ndt = 0.01\nT = 5.0\n"
+    )
+    cfg = dataclasses.replace(parse_config(text), out=str(tmp_path / "d"))
+    assert run_experiment(cfg, workers=1) == 0
+    summary = json.loads((tmp_path / "d" / "summary.json").read_text())
+    assert isinstance(summary["hit_00"], bool) and isinstance(summary["hit_11"], bool)
+
+
 def test_cli_acceptance_wrapper(tmp_path, monkeypatch, capsys):
     # exercise the subcommand plumbing with canned criterion results
     import seedbank.acceptance as acc
     from seedbank.acceptance import CriterionResult
 
-    def fake_run(seed=0, workers=1, echo=None, only=None):
+    def fake_run(seed=0, echo=None, only=None):
         results = [
             CriterionResult("01", "alpha", True, {"x": 1.0}),
             CriterionResult("02", "beta", False, {"y": 2.0}),

@@ -1,4 +1,5 @@
-"""Invariants of the switching rates and the block-count generator, over random finite measures."""
+"""Invariants over random finite measures: switching rates, the block-count
+generator, and the agreement of the scalar and batch diffusion integrators."""
 
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from seedbank.blockcount import BlockCountState, _generator, bc_transition_rates, duality_rhs
 from seedbank.coalescent import TO_ACTIVE, TO_DORMANT, MarkedPartition, partition_transition_rates
+from seedbank.diffusion import IntegratorSettings, batch_paths, integrate
 from seedbank.measures import ModelParams, SwitchingMeasure, group_switch_rate, total_flip_rate
 
 weights = st.floats(0.01, 2.0)
@@ -72,3 +74,42 @@ def test_duality_at_time_zero_is_the_monomial(params, s0, x, y):
     n, m = s0
     val, se = duality_rhs(n, m, x, y, params, 0.0)
     assert val == x**n * y**m and se == 0.0
+
+
+# atoms on both sides of every cutoff below, so some are simulated as jumps and
+# some are folded into the drift
+diffusion_atoms = st.lists(st.tuples(st.floats(1e-4, 1.0), weights), max_size=2)
+diffusion_measures = st.builds(
+    lambda a, b: SwitchingMeasure(atoms=tuple(a), beta_components=tuple(b)),
+    diffusion_atoms,
+    st.lists(st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0), weights), max_size=1),
+)
+mutation = st.sampled_from([0.0, 0.5])
+diffusion_models = st.builds(
+    lambda c, K, u1, u2, ad, da: ModelParams(c=c, K=K, u1=u1, u2=u2, lambda_ad=ad, lambda_da=da),
+    st.floats(0.0, 3.0),
+    st.floats(0.1, 5.0),
+    mutation,
+    mutation,
+    diffusion_measures,
+    diffusion_measures,
+)
+integrator_settings = st.builds(
+    lambda horizon, dt, eps, noise: IntegratorSettings(
+        horizon=horizon, dt=dt, jump_cutoff=eps, noise_model=noise
+    ),
+    st.floats(0.05, 0.5),
+    st.sampled_from([0.01, 0.02, 0.05]),
+    st.sampled_from([1e-3, 0.05, 0.3]),
+    st.sampled_from(["binomial", "gaussian"]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(diffusion_models, unit, unit, integrator_settings, st.integers(0, 2**32 - 1))
+def test_integrate_is_a_one_lane_batch(params, x0, y0, st_, seed):
+    # one schedule, one scalar step and one jump interleave: a single batch
+    # lane consumes the stream exactly like the scalar integrator
+    tr = integrate(params, (x0, y0), st_, seed=seed)
+    res = batch_paths(params, x0, y0, st_, 1, seed=seed)
+    assert (float(res.final_x[0]), float(res.final_y[0])) == (float(tr.x[-1]), float(tr.y[-1]))
