@@ -4,12 +4,14 @@ Each generation the active pool reproduces by multinomial sampling while c
 individuals (binomially randomized) swap between the pools.  Two-allele
 frequencies (x, y) then follow the dormancy diffusion on the N-rescaled
 clock, and the chance of fixing at all-type-0 is (y + xK)/(1 + K): with a
-large seed bank (small K) the bank's composition decides the outcome.
+large seed bank (small K) the bank's composition decides the outcome.  A
+config with ``sim_switching`` adds rare coordinated events, and the same
+``wf_step`` then draws them.
 """
 
 import numpy as np
 
-from seedbank import ModelParams, SimSwitching, SwitchingMeasure, WFConfig, run_trajectory, wf_ensemble
+from seedbank import SimSwitching, SwitchingMeasure, WFConfig, WFState, run_trajectory, wf_ensemble, wf_step
 
 cfg = WFConfig(N=100, K=1.0, c=1.0, exchange_mode="binomial")
 
@@ -37,12 +39,10 @@ print(f"\nmean K*x + y after 400 generations: {vals.mean():.4f} (started at {2 *
 # z of the seed bank is replaced by offspring of the active pool.
 sw = SimSwitching(rate_d=2.0, mu_d=SwitchingMeasure.atom(0.5, 1.0))
 cfg = WFConfig(N=200, K=2.0, c=1.0, sim_switching=sw)
-from seedbank import WFState, wf_sim_step
-
 rng = np.random.default_rng(14)
 stats: dict = {}
 s = WFState(i=60, j=50, generation=0)
 for _ in range(40_000):
-    s = wf_sim_step(s, cfg, rng, stats)
+    s = wf_step(s, cfg, rng, stats)
 print(f"\ncoordinated replacements over 200 rescaled time units: {stats.get('d_events', 0)}"
       f" (rate w/z = 2 per unit time -> about 400)")

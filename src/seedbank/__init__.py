@@ -53,7 +53,6 @@ from .forward_wf import (
     WFTrajectory,
     run_trajectory,
     wf_ensemble,
-    wf_sim_step,
     wf_step,
 )
 from .measures import (

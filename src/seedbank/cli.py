@@ -422,7 +422,11 @@ def main(argv=None) -> int:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out"] = args.out
-    cfg = dataclasses.replace(cfg, **overrides)
+    try:
+        cfg = dataclasses.replace(cfg, **overrides)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     workers = args.workers
     if workers is None:
         workers = int(os.environ.get(_WORKERS_ENV, "1"))

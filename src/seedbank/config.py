@@ -62,7 +62,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: model rates, experiment choice, numeric knobs, seed, output."""
+    """One experiment: model rates, experiment choice, numeric knobs, seed, output.
+
+    Every value is range-checked on construction, so a config built from
+    text and one changed by a command-line override pass the same checks.
+    """
 
     # [run]
     seed: int = 0
@@ -94,8 +98,17 @@ class ExperimentConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment kind {self.experiment!r}")
+        problems = _range_errors(self)
+        if problems:
+            raise _RangeError(problems)
+
+
+class _RangeError(ValueError):
+    """Values out of range, as (config key, message) pairs."""
+
+    def __init__(self, problems: list[tuple[str, str]]):
+        self.problems = problems
+        super().__init__("; ".join(msg for _, msg in problems))
 
 
 _RUN_KEYS = {"seed": int, "out": str}
@@ -155,8 +168,9 @@ def _parse_value(kind, raw: str):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every problem found."""
     errors: list[tuple[int, str]] = []
-    values: dict[str, object] = {}
-    measures: dict[str, list] = {"to-dormant": [], "to-active": []}
+    values: dict[str, object] = {}  # config keys are unique across sections
+    lines: dict[str, int] = {}
+    measures = {name: {"atoms": [], "beta_components": []} for name in ("to-dormant", "to-active")}
     section = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -176,24 +190,23 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if section == "__skip__":
             continue
-        if section in ("to-dormant", "to-active"):
-            parts = line.split()
-            if parts[0] == "atom" and len(parts) == 3:
-                try:
-                    measures[section].append(("atom", float(parts[1]), float(parts[2])))
-                except ValueError:
-                    errors.append((lineno, f"malformed atom line {line!r}"))
-            elif parts[0] == "beta" and len(parts) == 4:
-                try:
-                    measures[section].append(
-                        ("beta", float(parts[1]), float(parts[2]), float(parts[3]))
-                    )
-                except ValueError:
-                    errors.append((lineno, f"malformed beta line {line!r}"))
-            else:
+        if section in measures:
+            kind, *nums = line.split()
+            field_name, arity = {"atom": ("atoms", 2), "beta": ("beta_components", 3)}.get(
+                kind, (None, -1)
+            )
+            if len(nums) != arity:
                 errors.append(
                     (lineno, f"expected 'atom z w' or 'beta alpha beta mass', got {line!r}")
                 )
+                continue
+            try:
+                entry = tuple(float(v) for v in nums)
+                SwitchingMeasure(**{field_name: (entry,)})  # range check against this line
+            except ValueError as exc:
+                errors.append((lineno, f"invalid {kind} line {line!r}: {exc}"))
+                continue
+            measures[section][field_name].append(entry)
             continue
         if "=" not in line:
             errors.append((lineno, f"expected 'key = value', got {line!r}"))
@@ -206,68 +219,64 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append((lineno, f"unknown key {key!r} in section [{section}]"))
             continue
         try:
-            values[(section, key)] = _parse_value(registry[key], raw_val)
+            value = _parse_value(registry[key], raw_val)
         except ValueError:
             errors.append((lineno, f"cannot parse value for {key!r}: {raw_val!r}"))
-
-    def build_measure(name):
-        atoms = tuple((e[1], e[2]) for e in measures[name] if e[0] == "atom")
-        betas = tuple((e[1], e[2], e[3]) for e in measures[name] if e[0] == "beta")
-        return SwitchingMeasure(atoms=atoms, beta_components=betas)
+            continue
+        if section == "model":
+            try:
+                ModelParams(**{key: value})  # range check against this line
+            except ValueError as exc:
+                errors.append((lineno, str(exc)))
+                continue
+        values[key] = value
+        lines[key] = lineno
 
     if errors:
         raise ConfigError(errors)
 
-    model_kwargs = {key: v for (sec, key), v in values.items() if sec == "model"}
+    model = ModelParams(
+        lambda_ad=SwitchingMeasure(**measures["to-dormant"]),
+        lambda_da=SwitchingMeasure(**measures["to-active"]),
+        **{key: v for key, v in values.items() if key in _MODEL_KEYS},
+    )
+    cfg_kwargs = {_RENAMES.get(key, key): v for key, v in values.items() if key not in _MODEL_KEYS}
     try:
-        model = ModelParams(
-            lambda_ad=build_measure("to-dormant"),
-            lambda_da=build_measure("to-active"),
-            **model_kwargs,
-        )
-    except ValueError as exc:
-        line = _line_of(text, "model") or _line_of(text, "to-dormant") or 1
-        raise ConfigError([(line, str(exc))]) from exc
-
-    cfg_kwargs: dict = {"model": model}
-    for (sec, key), v in values.items():
-        if sec == "model":
-            continue
-        cfg_kwargs[_RENAMES.get(key, key)] = v
-    try:
-        cfg = ExperimentConfig(**cfg_kwargs)
-        _validate_ranges(cfg)
-    except ValueError as exc:
-        raise ConfigError([(1, str(exc))]) from exc
-    return cfg
+        return ExperimentConfig(model=model, **cfg_kwargs)
+    except _RangeError as exc:
+        raise ConfigError(sorted((lines.get(key, 1), msg) for key, msg in exc.problems)) from exc
 
 
-def _line_of(text: str, section: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.strip() == f"[{section}]":
-            return lineno
-    return None
-
-
-def _validate_ranges(cfg: ExperimentConfig) -> None:
-    if cfg.reps < 1:
-        raise ValueError(f"reps must be positive, got {cfg.reps}")
-    if cfg.dt <= 0 or cfg.horizon <= 0:
-        raise ValueError("dt and T must be positive")
-    if not 0 < cfg.jump_cutoff < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {cfg.jump_cutoff}")
-    if cfg.stop not in ("mrca", "horizon"):
-        raise ValueError(f"stop must be 'mrca' or 'horizon', got {cfg.stop!r}")
-    if cfg.exchange_mode not in ("fixed", "binomial"):
-        raise ValueError(f"exchange_mode must be 'fixed' or 'binomial', got {cfg.exchange_mode!r}")
-    if cfg.noise_model not in ("binomial", "gaussian"):
-        raise ValueError(f"noise_model must be 'binomial' or 'gaussian', got {cfg.noise_model!r}")
-    if cfg.n < 0 or cfg.m < 0 or cfg.n + cfg.m < 1:
-        raise ValueError("need n + m >= 1 sampled lines")
-    if not (0.0 <= cfg.x0 <= 1.0 and 0.0 <= cfg.y0 <= 1.0):
-        raise ValueError("x0 and y0 must lie in [0, 1]")
-    if cfg.pop_size < 1 or cfg.generations < 0:
-        raise ValueError("pop_size must be >= 1 and generations >= 0")
+def _range_errors(cfg: ExperimentConfig) -> list[tuple[str, str]]:
+    """(config key, message) for every value out of range."""
+    out_ok = "#" not in cfg.out and cfg.out == cfg.out.strip() and len(cfg.out.splitlines()) <= 1
+    checks = (
+        ("kind", cfg.experiment in EXPERIMENTS, f"unknown experiment kind {cfg.experiment!r}"),
+        ("out", out_ok, f"out must be one line without '#' or surrounding blanks, got {cfg.out!r}"),
+        ("reps", cfg.reps >= 1, f"reps must be positive, got {cfg.reps}"),
+        ("dt", cfg.dt > 0, f"dt must be positive, got {cfg.dt}"),
+        ("T", cfg.horizon > 0, f"T must be positive, got {cfg.horizon}"),
+        ("eps", 0 < cfg.jump_cutoff < 1, f"eps must lie in (0, 1), got {cfg.jump_cutoff}"),
+        ("stop", cfg.stop in ("mrca", "horizon"), f"stop must be 'mrca' or 'horizon', got {cfg.stop!r}"),
+        (
+            "exchange_mode",
+            cfg.exchange_mode in ("fixed", "binomial"),
+            f"exchange_mode must be 'fixed' or 'binomial', got {cfg.exchange_mode!r}",
+        ),
+        (
+            "noise_model",
+            cfg.noise_model in ("binomial", "gaussian"),
+            f"noise_model must be 'binomial' or 'gaussian', got {cfg.noise_model!r}",
+        ),
+        ("n", cfg.n >= 0, f"n must be nonnegative, got {cfg.n}"),
+        ("m", cfg.m >= 0, f"m must be nonnegative, got {cfg.m}"),
+        ("n", cfg.n + cfg.m >= 1, "need n + m >= 1 sampled lines"),
+        ("x0", 0.0 <= cfg.x0 <= 1.0, f"x0 must lie in [0, 1], got {cfg.x0}"),
+        ("y0", 0.0 <= cfg.y0 <= 1.0, f"y0 must lie in [0, 1], got {cfg.y0}"),
+        ("pop_size", cfg.pop_size >= 1, f"pop_size must be >= 1, got {cfg.pop_size}"),
+        ("generations", cfg.generations >= 0, f"generations must be >= 0, got {cfg.generations}"),
+    )
+    return [(key, msg) for key, ok, msg in checks if not ok]
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,6 +155,9 @@ class _BetaJumpSampler:
         ]
         self.cum = np.concatenate([[0.0], np.cumsum(seg)])
         self.activity = float(self.cum[-1])
+        # one table is shared by every caller of _beta_sampler
+        self.nodes.flags.writeable = False
+        self.cum.flags.writeable = False
 
     def sample(self, count, rng):
         if count == 0:
@@ -165,6 +169,13 @@ class _BetaJumpSampler:
         span = self.cum[k + 1] - self.cum[k]
         frac = np.where(span > 0, (u - self.cum[k]) / np.where(span > 0, span, 1.0), 0.5)
         return lo + frac * (hi - lo)
+
+
+# bounded because each table holds ~1k floats; a model has a few components
+@lru_cache(maxsize=64)
+def _beta_sampler(alpha, beta, mass, eps) -> _BetaJumpSampler:
+    """The jump-size table of one Beta component, built once per (alpha, beta, mass, eps)."""
+    return _BetaJumpSampler(alpha, beta, mass, eps)
 
 
 def _schedule(params: ModelParams, eps: float, horizon: float, reps: int, rng):
@@ -179,7 +190,7 @@ def _schedule(params: ModelParams, eps: float, horizon: float, reps: int, rng):
     for measure, is_f in ((params.lambda_ad, True), (params.lambda_da, False)):
         clocks = [(w / z, lambda n, rng, z=z: np.full(n, z)) for z, w in measure.atoms if z >= eps]
         for a, b, mass in measure.beta_components:
-            sampler = _BetaJumpSampler(a, b, mass, eps)
+            sampler = _beta_sampler(a, b, mass, eps)
             clocks.append((sampler.activity, sampler.sample))
         for rate, draw_sizes in clocks:
             counts = rng.poisson(rate * horizon, size=reps)

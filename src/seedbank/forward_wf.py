@@ -1,12 +1,17 @@
 """Discrete-generation Wright-Fisher models with a strong seed bank.
 
 A population of N active individuals sits next to a dormant pool of
-M = floor(N/K) individuals of the same order of magnitude.  Each generation
-the active pool reproduces by multinomial sampling, while an exchange of c
-individuals (a fixed integer, or a Binomial(N, c/N) draw) moves types between
-the pools.  Time rescaled by N turns the two type-0 frequencies into the
-dormancy diffusion; rare coordinated events that replace a fraction z of one
-pool with types from the other add the jump component.
+M = floor(N/K) individuals of the same order of magnitude.  Every generation
+refills a of the N active slots with types drawn without replacement from
+the seed bank and the rest with multinomial offspring of the active pool,
+while the seed bank keeps M - d uniformly chosen survivors and takes d
+active offspring.  An ordinary generation exchanges a = d = c* individuals
+(c* a fixed integer, or a Binomial(N, c/N) draw).  With ``sim_switching``
+configured, rare coordinated events replace a fraction z of one pool with
+types from the other: an F flood refills a = round(zN) active slots from the
+seed bank (d = 0), a D event refills d = round(zM) dormant slots from active
+offspring (a = 0).  Time rescaled by N turns the two type-0 frequencies into
+the dormancy diffusion; the events add its jump component.
 
 Two-allele bookkeeping only: states count type-0 individuals per pool.
 """
@@ -27,7 +32,6 @@ __all__ = [
     "WFConfig",
     "WFState",
     "wf_step",
-    "wf_sim_step",
     "run_trajectory",
     "WFTrajectory",
     "wf_ensemble",
@@ -110,78 +114,71 @@ class WFState(NamedTuple):
     generation: int
 
 
-def _draw_exchange(cfg: WFConfig, rng, stats) -> int:
+def _tally(stats: Optional[dict], key: str, n: int = 1) -> None:
+    if stats is not None and n:
+        stats[key] = stats.get(key, 0) + n
+
+
+def _exchange(cfg: WFConfig, rng, size=None):
+    """(c*, number clamped) for one generation, or for ``size`` lanes at once.
+
+    A Binomial(N, c/N) draw above min(N, M) is clamped to it.
+    """
     if cfg.exchange_mode == "fixed":
-        return int(cfg.c)
-    c_star = int(rng.binomial(cfg.N, cfg.c / cfg.N))
+        return (int(cfg.c) if size is None else np.full(size, int(cfg.c), dtype=np.int64)), 0
     cap = min(cfg.N, cfg.M)
-    if c_star > cap:
-        if stats is not None:
-            stats["clamped_exchanges"] = stats.get("clamped_exchanges", 0) + 1
-        c_star = cap
-    return c_star
+    c_star = rng.binomial(cfg.N, cfg.c / cfg.N, size=size)
+    clamped = int(np.count_nonzero(c_star > cap))
+    return (min(c_star, cap) if size is None else np.minimum(c_star, cap)), clamped
 
 
-def _hyper(rng, ngood: int, nbad: int, nsample: int) -> int:
-    if nsample <= 0:
-        return 0
-    return int(rng.hypergeometric(ngood, nbad, nsample))
+def _generation(i, j, refill_active, refill_bank, N, M, rng):
+    """Type-0 counts after one generation from (i, j), for ints or per-lane arrays.
+
+    a = refill_active of the N active slots take types drawn without
+    replacement from the seed bank and the other N - a are offspring of the
+    active pool; independently, the seed bank keeps M - d uniformly chosen
+    survivors and takes d = refill_bank active offspring.  A hypergeometric
+    sample of size 0 or of the whole pool and a Binomial(0, p) consume no
+    random numbers, so each kind of generation draws only what it needs.
+    """
+    p0 = i / N
+    new_i = rng.binomial(N - refill_active, p0) + rng.hypergeometric(j, M - j, refill_active)
+    new_j = rng.hypergeometric(j, M - j, M - refill_bank) + rng.binomial(refill_bank, p0)
+    return new_i, new_j
 
 
 def wf_step(s: WFState, cfg: WFConfig, rng, stats: Optional[dict] = None) -> WFState:
-    """One generation of the spontaneous-exchange model.
+    """One generation, with the rare coordinated events if ``cfg.sim_switching`` is set.
 
-    The new active pool is N - c* multinomial offspring of the old active
-    pool plus c* types drawn without replacement from the seed bank; the new
-    seed bank keeps M - c* uniformly chosen survivors and adds c* active
-    offspring.  The two uniform choices are independent.
+    With probability rate_f/N an F flood refills round(zN) active slots,
+    z ~ mu_f, from the seed bank (capped at M, counted in
+    ``stats["capped_floods"]``; events in ``stats["f_events"]``).  With
+    probability rate_d/N a D event replaces round(zM) of the seed bank,
+    z ~ mu_d, by active offspring (``stats["d_events"]``).  Otherwise an
+    ordinary generation exchanges c* individuals each way (clamps in
+    ``stats["clamped_exchanges"]``).
     """
     N, M = cfg.N, cfg.M
-    c_star = _draw_exchange(cfg, rng, stats)
-    p0 = s.i / N
-    new_i = int(rng.binomial(N - c_star, p0)) + _hyper(rng, s.j, M - s.j, c_star)
-    new_j = _hyper(rng, s.j, M - s.j, M - c_star) + int(rng.binomial(c_star, p0))
-    return WFState(i=new_i, j=new_j, generation=s.generation + 1)
-
-
-def wf_sim_step(s: WFState, cfg: WFConfig, rng, stats: Optional[dict] = None) -> WFState:
-    """One generation with the rare coordinated events enabled.
-
-    With probability rate_f/N, a fraction z of the active slots is refilled
-    from the seed bank (types drawn without replacement; the replacement
-    count is capped at M, counted in ``stats["capped_floods"]``).  With
-    probability rate_d/N, a fraction z of the seed bank is replaced by active
-    offspring.  Otherwise an ordinary generation happens.
-    """
     sw = cfg.sim_switching
-    if sw is None:
-        raise ValueError("sim_switching is not configured")
-    N, M = cfg.N, cfg.M
-    u = rng.random()
-    p_f = sw.rate_f / N
-    p_d = sw.rate_d / N
-    if u < p_f:
-        z = sample_location(sw.mu_f, rng)
-        k = int(round(z * N))
-        if k > M:
-            if stats is not None:
-                stats["capped_floods"] = stats.get("capped_floods", 0) + 1
-            k = M
-        if stats is not None:
-            stats["f_events"] = stats.get("f_events", 0) + 1
-        p0 = s.i / N
-        new_i = int(rng.binomial(N - k, p0)) + _hyper(rng, s.j, M - s.j, k)
-        return WFState(i=new_i, j=s.j, generation=s.generation + 1)
-    if u < p_f + p_d:
-        z = sample_location(sw.mu_d, rng)
-        k = int(round(z * M))
-        if stats is not None:
-            stats["d_events"] = stats.get("d_events", 0) + 1
-        p0 = s.i / N
-        new_i = int(rng.binomial(N, p0))
-        new_j = _hyper(rng, s.j, M - s.j, M - k) + int(rng.binomial(k, p0))
-        return WFState(i=new_i, j=new_j, generation=s.generation + 1)
-    return wf_step(s, cfg, rng, stats)
+    refill = None
+    if sw is not None:
+        u = rng.random()
+        p_f = sw.rate_f / N
+        if u < p_f:
+            k = int(round(sample_location(sw.mu_f, rng) * N))
+            _tally(stats, "capped_floods", int(k > M))
+            _tally(stats, "f_events")
+            refill = (min(k, M), 0)
+        elif u < p_f + sw.rate_d / N:
+            _tally(stats, "d_events")
+            refill = (0, int(round(sample_location(sw.mu_d, rng) * M)))
+    if refill is None:
+        c_star, clamped = _exchange(cfg, rng)
+        _tally(stats, "clamped_exchanges", clamped)
+        refill = (c_star, c_star)
+    new_i, new_j = _generation(s.i, s.j, *refill, N, M, rng)
+    return WFState(i=int(new_i), j=int(new_j), generation=s.generation + 1)
 
 
 @dataclass
@@ -226,14 +223,13 @@ def run_trajectory(
     N, M = cfg.N, cfg.M
     state = WFState(i=int(round(x0 * N)), j=int(round(y0 * M)), generation=0)
     stats: dict = {}
-    step = wf_sim_step if cfg.sim_switching is not None else wf_step
     rec_g = [0]
     rec_i = [state.i]
     rec_j = [state.j]
-    fixation: Optional[int] = None
+    fixation = 0 if (state.i, state.j) in ((0, 0), (N, M)) else None
     for g in range(1, generations + 1):
         if fixation is None:
-            state = step(state, cfg, rng, stats)
+            state = wf_step(state, cfg, rng, stats)
             if (state.i, state.j) in ((0, 0), (N, M)):
                 fixation = state.generation
         else:
@@ -291,7 +287,6 @@ def wf_ensemble(
         raise ValueError("the vectorized ensemble only covers the spontaneous model")
     rng = as_rng(seed)
     N, M = cfg.N, cfg.M
-    cap = min(N, M)
     i = np.full(reps, int(round(x0 * N)), dtype=np.int64)
     j = np.full(reps, int(round(y0 * M)), dtype=np.int64)
     fixed_gen = np.full(reps, -1, dtype=np.int64)
@@ -302,27 +297,9 @@ def wf_ensemble(
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        if cfg.exchange_mode == "fixed":
-            c_star = np.full(idx.size, int(cfg.c), dtype=np.int64)
-        else:
-            c_star = rng.binomial(N, cfg.c / N, size=idx.size).astype(np.int64)
-            over = c_star > cap
-            if over.any():
-                clamped += int(over.sum())
-                c_star[over] = cap
-        p0 = i[idx] / N
-        new_i = rng.binomial(N - c_star, p0)
-        new_j = np.zeros(idx.size, dtype=np.int64)
-        take = c_star > 0
-        if take.any():
-            new_i[take] += rng.hypergeometric(j[idx][take], M - j[idx][take], c_star[take])
-        keep = (M - c_star) > 0
-        if keep.any():
-            new_j[keep] += rng.hypergeometric(j[idx][keep], M - j[idx][keep], (M - c_star)[keep])
-        if take.any():
-            new_j[take] += rng.binomial(c_star[take], p0[take])
-        i[idx] = new_i
-        j[idx] = new_j
+        c_star, n_clamped = _exchange(cfg, rng, idx.size)
+        clamped += n_clamped
+        i[idx], j[idx] = _generation(i[idx], j[idx], c_star, c_star, N, M, rng)
         _flag_fixed(i, j, N, M, fixed_gen, alive, g, stop_at_fixation, idx)
     return WFEnsembleResult(i=i, j=j, fixed_generation=fixed_gen, clamped_exchanges=clamped)
 

@@ -77,7 +77,23 @@ def test_range_error_names_key_and_line():
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert "K" in str(err.value)
-    assert any(ln == 1 for ln, _ in err.value.errors)  # points at [model]
+    assert [ln for ln, _ in err.value.errors] == [3]  # the K line
+    text = "[run]\nseed = 1\n\n[numeric]\nreps = 0\ndt = 0.01\n\n[to-active]\natom 0.5 -1\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    msgs = dict(err.value.errors)
+    assert list(msgs) == [9]  # per-line problems are reported before ranges
+    assert "weight" in msgs[9]
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("atom 0.5 -1", "atom 0.5 1"))
+    assert err.value.errors == [(5, "reps must be positive, got 0")]
+
+
+def test_out_must_survive_the_text_format():
+    for out in ("a#b", " x", "x ", "a\nb"):
+        with pytest.raises(ValueError, match="out must be"):
+            ExperimentConfig(out=out)
+    assert parse_config("[run]\nout = a#b\n").out == "a"  # '#' starts a comment
 
 
 def test_unknown_keys_and_sections_with_lines():
@@ -140,6 +156,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "line" in err and "K" in err
+
+
+def test_cli_out_override_error_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["forward-wf", "--out", "a#b"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "out must be" in err and "a#b" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_unreachable_mrca_is_reported(tmp_path, capsys):

@@ -140,6 +140,20 @@ def test_beta_component_jump_sizes():
     assert scistats.kstest(zs, np.vectorize(cdf)).pvalue > 0.001
 
 
+def test_beta_jump_table_is_built_once():
+    from seedbank.diffusion import _beta_sampler
+
+    p = ModelParams(c=1.0, K=1.0,
+                    lambda_da=SwitchingMeasure(beta_components=((0.7, 1.3, 0.4),)))
+    st = IntegratorSettings(horizon=0.5, dt=1e-2, jump_cutoff=0.05)
+    first = integrate(p, DiffusionState(0.3, 0.6), st, seed=1)
+    misses = _beta_sampler.cache_info().misses
+    again = integrate(p, DiffusionState(0.3, 0.6), st, seed=1)
+    batch_paths(p, 0.3, 0.6, st, 5, seed=2)
+    assert _beta_sampler.cache_info().misses == misses
+    assert np.array_equal(first.x, again.x) and first.jumps == again.jumps
+
+
 def test_allele_relabeling_symmetry():
     p = ModelParams(c=1.0, K=1.0, u1=0.3, u2=0.1, u1p=0.2, u2p=0.05)
     q = ModelParams(c=1.0, K=1.0, u1=0.1, u2=0.3, u1p=0.05, u2p=0.2)

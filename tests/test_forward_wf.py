@@ -10,7 +10,6 @@ from seedbank.forward_wf import (
     WFState,
     run_trajectory,
     wf_ensemble,
-    wf_sim_step,
     wf_step,
 )
 from seedbank.measures import ModelParams, SwitchingMeasure
@@ -94,7 +93,7 @@ def test_trajectory_determinism_and_recording():
     assert a.generations[-1] == 600 and len(a.generations) == 13
     zero = run_trajectory(cfg, 0.0, 0.0, 100, seed=1)
     assert zero.i.max() == 0 and zero.j.max() == 0
-    assert zero.fixation_generation == 0 or zero.i[0] == 0  # starts absorbed
+    assert zero.fixation_generation == 0  # starts absorbed
 
 
 def test_martingale_proxy_flat():
@@ -117,7 +116,8 @@ def test_fixation_probability_small_case():
 
 
 def test_sim_step_without_events_matches_wf_step_in_law():
-    # rate 0 events: the two steps are the same mechanism
+    # a configured event component with rate 0 changes the stream (one
+    # uniform per generation) but not the law of a generation
     sw = SimSwitching()
     cfg = WFConfig(N=60, K=1.0, c=1.0, sim_switching=sw)
     cfg_plain = WFConfig(N=60, K=1.0, c=1.0)
@@ -127,7 +127,7 @@ def test_sim_step_without_events_matches_wf_step_in_law():
         s1 = WFState(i=20, j=30, generation=0)
         s2 = WFState(i=20, j=30, generation=0)
         for _ in range(10):
-            s1 = wf_sim_step(s1, cfg, rng1)
+            s1 = wf_step(s1, cfg, rng1)
             s2 = wf_step(s2, cfg_plain, rng2)
         xs1.append(s1.i)
         xs2.append(s2.i)
@@ -138,7 +138,7 @@ def test_forced_flood_from_seed_bank():
     # z = 1 flood: the whole active generation is drawn from the seed bank
     sw = SimSwitching(rate_f=200.0, mu_f=SwitchingMeasure.atom(1.0, 1.0))
     cfg = WFConfig(N=200, K=1.0, c=0.0, sim_switching=sw)
-    s = wf_sim_step(WFState(i=0, j=200, generation=0), cfg, np.random.default_rng(9))
+    s = wf_step(WFState(i=0, j=200, generation=0), cfg, np.random.default_rng(9))
     assert s.i == 200 and s.j == 200
 
 
@@ -154,7 +154,7 @@ def test_event_rate_matches_scaling_target():
     s = WFState(i=60, j=50, generation=0)
     gens = 120_000  # 600 rescaled time units
     for _ in range(gens):
-        s = wf_sim_step(s, cfg, rng, stats)
+        s = wf_step(s, cfg, rng, stats)
     expected = gens / 200 * (w / z)
     got = stats.get("d_events", 0)
     assert abs(got - expected) <= 3.5 * math.sqrt(expected)
@@ -176,3 +176,21 @@ def test_scaling_toward_diffusion_law():
         dists.append(scistats.ks_2samp(res.i / N, ref).statistic)
     assert dists[2] < dists[0]
     assert dists[2] < 0.05
+
+
+def test_empty_and_whole_pool_draws_consume_no_random_numbers():
+    # the generation rule draws a hypergeometric of size 0 or of the whole
+    # pool and a Binomial(0, p) for every kind of generation; numpy returns
+    # 0, ngood and 0 for them without touching the stream
+    rng = np.random.default_rng(15)
+    before = rng.bit_generator.state
+    assert rng.hypergeometric(7, 5, 0) == 0
+    assert rng.hypergeometric(7, 5, 12) == 7
+    assert rng.hypergeometric(300, 200, 500) == 300
+    assert rng.binomial(0, 0.4) == 0 and rng.binomial(0, 0.9) == 0
+    good = np.array([0, 7, 300, 12])
+    bad = np.array([9, 5, 200, 0])
+    assert rng.hypergeometric(good, bad, np.zeros(4, dtype=np.int64)).tolist() == [0, 0, 0, 0]
+    assert rng.hypergeometric(good, bad, good + bad).tolist() == good.tolist()
+    assert rng.binomial(np.zeros(3, dtype=np.int64), np.array([0.0, 0.3, 1.0])).tolist() == [0, 0, 0]
+    assert rng.bit_generator.state == before

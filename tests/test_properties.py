@@ -1,5 +1,6 @@
 """Invariants over random finite measures: switching rates, the block-count
-generator, and the agreement of the scalar and batch diffusion integrators."""
+generator, the agreement of the scalar and batch diffusion integrators and of
+the scalar and vectorised Wright-Fisher loops, and the config round trip."""
 
 import math
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from seedbank.blockcount import BlockCountState, _generator, bc_transition_rates, duality_rhs
 from seedbank.coalescent import TO_ACTIVE, TO_DORMANT, MarkedPartition, partition_transition_rates
+from seedbank.config import EXPERIMENTS, ExperimentConfig, parse_config, serialize_config
 from seedbank.diffusion import IntegratorSettings, batch_paths, integrate
+from seedbank.forward_wf import WFConfig, run_trajectory, wf_ensemble
 from seedbank.measures import ModelParams, SwitchingMeasure, group_switch_rate, total_flip_rate
 
 weights = st.floats(0.01, 2.0)
@@ -113,3 +116,76 @@ def test_integrate_is_a_one_lane_batch(params, x0, y0, st_, seed):
     tr = integrate(params, (x0, y0), st_, seed=seed)
     res = batch_paths(params, x0, y0, st_, 1, seed=seed)
     assert (float(res.final_x[0]), float(res.final_y[0])) == (float(tr.x[-1]), float(tr.y[-1]))
+
+
+@st.composite
+def wf_configs(draw):
+    N = draw(st.integers(1, 60))
+    K = draw(st.floats(0.2, float(N)))  # keeps M = floor(N/K) >= 1
+    if draw(st.booleans()):
+        c = draw(st.integers(0, min(N, int(N / K))))
+        return WFConfig(N=N, K=K, c=c, exchange_mode="fixed")
+    return WFConfig(N=N, K=K, c=draw(st.floats(0.0, float(N))), exchange_mode="binomial")
+
+
+@settings(max_examples=60, deadline=None)
+@given(wf_configs(), unit, unit, st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_trajectory_is_a_one_lane_ensemble(cfg, x0, y0, generations, seed):
+    # one generation rule: the scalar loop and one vectorised lane consume the
+    # stream alike and stop at the same fixation
+    tr = run_trajectory(cfg, x0, y0, generations, seed=seed)
+    res = wf_ensemble(cfg, x0, y0, 1, generations, seed=seed)
+    fixed = -1 if tr.fixation_generation is None else tr.fixation_generation
+    assert (int(tr.i[-1]), int(tr.j[-1]), fixed) == (
+        int(res.i[0]), int(res.j[0]), int(res.fixed_generation[0])
+    )
+
+
+def _config_or_none(**fields):
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError:
+        return None
+
+
+finite = st.floats(allow_nan=False)
+configs = st.builds(
+    _config_or_none,
+    seed=st.integers(0, 2**64 - 1),
+    out=st.text(max_size=12),
+    model=st.builds(
+        lambda base, u: ModelParams(
+            c=base.c, K=base.K, lambda_ad=base.lambda_ad, lambda_da=base.lambda_da,
+            u1=u[0], u2=u[1], u1p=u[2], u2p=u[3], u_active=u[4], u_dormant=u[5],
+        ),
+        models,
+        st.lists(st.floats(0.0, 10.0), min_size=6, max_size=6),
+    ),
+    experiment=st.sampled_from(EXPERIMENTS),
+    n=st.integers(0, 50),
+    m=st.integers(0, 50),
+    x0=unit,
+    y0=unit,
+    pop_size=st.integers(1, 10**6),
+    generations=st.integers(0, 10**6),
+    exchange_mode=st.sampled_from(["fixed", "binomial"]),
+    stop=st.sampled_from(["mrca", "horizon"]),
+    n_list=st.lists(st.integers(-(10**6), 10**6), max_size=4).map(tuple),
+    t_probe=finite,
+    times=st.lists(finite, max_size=4).map(tuple),
+    xs=st.lists(finite, max_size=4).map(tuple),
+    ys=st.lists(finite, max_size=4).map(tuple),
+    reps=st.integers(1, 10**7),
+    dt=st.floats(1e-300, 1e300),
+    horizon=st.floats(1e-300, 1e300),
+    jump_cutoff=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    boundary_tol=finite,
+    noise_model=st.sampled_from(["binomial", "gaussian"]),
+    record_every=st.integers(1, 1000),
+).filter(lambda cfg: cfg is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs)
+def test_config_text_round_trip(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
