@@ -59,7 +59,6 @@ from .measures import (
     ModelParams,
     SwitchingMeasure,
     group_switch_rate,
-    neg_log_moment,
     sample_location,
     small_jump_mass,
     total_flip_rate,

@@ -16,6 +16,7 @@ import filecmp
 import math
 import shutil
 import tempfile
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -448,13 +449,19 @@ CRITERIA: tuple[Callable, ...] = (
 
 
 def run_acceptance(seed: int = 0, echo=None, only=None) -> list[CriterionResult]:
-    """Run all (or the selected) criteria, echoing one PASS/FAIL line each."""
+    """Run all (or the selected) criteria, echoing one PASS/FAIL line each.
+
+    Each line ends with the criterion's wall seconds; the timing goes only to
+    ``echo``, never into the results.
+    """
     results = []
     for fn in CRITERIA:
         ident = fn.__name__[2:4]
         if only is not None and ident not in only:
             continue
+        start = time.perf_counter()
         res = fn(seed)
+        seconds = time.perf_counter() - start
         results.append(res)
         if echo is not None:
             key_bits = ", ".join(
@@ -462,5 +469,6 @@ def run_acceptance(seed: int = 0, echo=None, only=None) -> list[CriterionResult]
                 for k, v in list(res.detail.items())[:3]
                 if not isinstance(v, (dict, list))
             )
-            echo(f"{'PASS' if res.passed else 'FAIL'} {res.ident} {res.name}" + (f" [{key_bits}]" if key_bits else ""))
+            echo(f"{'PASS' if res.passed else 'FAIL'} {res.ident} {res.name}"
+                 + (f" [{key_bits}]" if key_bits else "") + f" ({seconds:.1f} s)")
     return results

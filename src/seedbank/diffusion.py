@@ -9,9 +9,11 @@ pools.  Only x carries Wright-Fisher noise:
 plus, when switching measures are present, jumps x -> x + z (y - x) (F type,
 driven by the active->dormant measure) and y -> y + z (x - y) (D type) whose
 sizes arrive as a Poisson point process with intensity (1/z) measure(dz).
-Jumps below the cutoff are folded into the drift through their first moment
-(the compensator (y - x) * mass below the cutoff), which is finite because
-the measures are finite.  The state is clamped to [0, 1]^2 after every
+Each atom and Beta component is an exact Poisson clock: Beta sizes are drawn
+by inversion or by thinning a bound, never from a table.  Jumps below the
+cutoff are folded into the drift through their first moment (the
+compensator (y - x) * mass below the cutoff), which is finite because the
+measures are finite.  The state is clamped to [0, 1]^2 after every
 update; boundary statistics are therefore always reported together with a
 dt-refinement so that discretization-induced hits are visible.
 
@@ -29,11 +31,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate as _sciint
+from scipy import special as _special
 
 from .measures import ModelParams, small_jump_mass
 from .streams import as_rng
@@ -131,51 +132,49 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-class _BetaJumpSampler:
-    """Jump sizes of one Beta component restricted to [eps, 1].
+def _beta_clock(alpha, beta, mass, eps):
+    """Poisson clock (rate, draw) of one Beta component's jumps of size >= eps.
 
-    The arrival rate is the quadrature integral of density/z over [eps, 1];
-    sizes are drawn by inverting a tabulated CDF of that restricted measure
-    (piecewise-linear between 512 nodes clustered at both endpoints).
+    Sizes z arrive at intensity mass/B(alpha, beta) z^(alpha-2) (1-z)^(beta-1)
+    on [eps, 1].  For alpha > 1 that is a truncated Beta(alpha-1, beta) law,
+    so the rate is closed form and ``draw`` inverts its tail.  For alpha <= 1
+    the clock runs at the rate of a bounding intensity g, piecewise in
+    h = max(eps, 1/2): g = m1 z^(alpha-2) on [eps, h] and m2 (1-z)^(beta-1)
+    on [h, 1], each inverted in closed form; ``draw`` keeps a candidate with
+    probability intensity/g and returns nan for one it rejects (thinning,
+    Lewis & Shedler 1979).
     """
+    if alpha > 1.0:
+        tail = float(_special.betaincc(alpha - 1.0, beta, eps))
+        rate = mass * (alpha + beta - 1.0) / (alpha - 1.0) * tail
 
-    _NODES = 512
+        def draw(n, rng):
+            return _special.betainccinv(alpha - 1.0, beta, rng.random(n) * tail)
 
-    def __init__(self, alpha, beta, mass, eps):
-        from .measures import _beta_pdf  # shared density helper
+        return rate, draw
 
-        self._pdf = lambda z: mass * _beta_pdf(z, alpha, beta) / z
-        half = self._NODES // 2
-        lo = np.geomspace(eps, 0.5, half)
-        hi = 1.0 - np.geomspace(0.5, 1e-12, half)
-        self.nodes = np.unique(np.concatenate([lo, hi, [1.0]]))
-        seg = [
-            _sciint.quad(self._pdf, a, b, epsrel=1e-10, epsabs=0.0, limit=200)[0]
-            for a, b in zip(self.nodes[:-1], self.nodes[1:])
-        ]
-        self.cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self.activity = float(self.cum[-1])
-        # one table is shared by every caller of _beta_sampler
-        self.nodes.flags.writeable = False
-        self.cum.flags.writeable = False
+    h = max(eps, 0.5)
+    p = alpha - 1.0
+    span = math.log(h / eps)
+    m1 = 2.0 ** max(1.0 - beta, 0.0)  # bounds (1-z)^(beta-1) on [eps, 1/2]
+    m2 = h ** (alpha - 2.0)  # bounds z^(alpha-2) on [h, 1]
+    # integral of z^(p-1) over [eps, h], in a form that stays accurate as p -> 0
+    lower = m1 * eps**p * span * float(_special.exprel(p * span))
+    upper = m2 * (1.0 - h) ** beta / beta
+    rate = mass * math.exp(-_special.betaln(alpha, beta)) * (lower + upper)
 
-    def sample(self, count, rng):
-        if count == 0:
-            return np.empty(0)
-        u = rng.random(count) * self.activity
-        k = np.searchsorted(self.cum, u, side="right") - 1
-        k = np.clip(k, 0, len(self.nodes) - 2)
-        lo, hi = self.nodes[k], self.nodes[k + 1]
-        span = self.cum[k + 1] - self.cum[k]
-        frac = np.where(span > 0, (u - self.cum[k]) / np.where(span > 0, span, 1.0), 0.5)
-        return lo + frac * (hi - lo)
+    def draw(n, rng):
+        pick, u, keep = rng.random((3, n))
+        low = pick * (lower + upper) < lower
+        z = 1.0 - (1.0 - h) * u ** (1.0 / beta)
+        ratio = (z / h) ** (alpha - 2.0)
+        ul = u[low]
+        log_z = span * ul if p == 0.0 else np.log1p(ul * math.expm1(p * span)) / p
+        z[low] = eps * np.exp(log_z)
+        ratio[low] = (1.0 - z[low]) ** (beta - 1.0) / m1
+        return np.where(keep < ratio, z, np.nan)
 
-
-# bounded because each table holds ~1k floats; a model has a few components
-@lru_cache(maxsize=64)
-def _beta_sampler(alpha, beta, mass, eps) -> _BetaJumpSampler:
-    """The jump-size table of one Beta component, built once per (alpha, beta, mass, eps)."""
-    return _BetaJumpSampler(alpha, beta, mass, eps)
+    return rate, draw
 
 
 def _schedule(params: ModelParams, eps: float, horizon: float, reps: int, rng):
@@ -184,20 +183,21 @@ def _schedule(params: ModelParams, eps: float, horizon: float, reps: int, rng):
     Returns arrays (t, lane, z, is_f) sorted by (t, lane); is_f marks F-type
     jumps (active->dormant measure).  Every atom and Beta component is its own
     Poisson clock, drawn in the order F atoms, F Beta components, D atoms, D
-    Beta components; equal (t, lane) pairs keep that order.
+    Beta components; equal (t, lane) pairs keep that order.  A clock's draw
+    may reject a candidate (nan size); its row is dropped.
     """
     parts = [(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=bool))]
     for measure, is_f in ((params.lambda_ad, True), (params.lambda_da, False)):
         clocks = [(w / z, lambda n, rng, z=z: np.full(n, z)) for z, w in measure.atoms if z >= eps]
-        for a, b, mass in measure.beta_components:
-            sampler = _beta_sampler(a, b, mass, eps)
-            clocks.append((sampler.activity, sampler.sample))
+        clocks += [_beta_clock(a, b, mass, eps) for a, b, mass in measure.beta_components]
         for rate, draw_sizes in clocks:
             counts = rng.poisson(rate * horizon, size=reps)
             tot = int(counts.sum())
             times = rng.random(tot) * horizon
             lanes = np.repeat(np.arange(reps), counts)
-            parts.append((times, lanes, draw_sizes(tot, rng), np.full(tot, is_f)))
+            z = draw_sizes(tot, rng)
+            kept = ~np.isnan(z)
+            parts.append((times[kept], lanes[kept], z[kept], np.full(tot, is_f)[kept]))
     t, lane, z, is_f = (np.concatenate(col) for col in zip(*parts))
     order = np.lexsort((lane, t))
     return t[order], lane[order], z[order], is_f[order]

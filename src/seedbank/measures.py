@@ -20,7 +20,6 @@ __all__ = [
     "total_mass",
     "group_switch_rate",
     "small_jump_mass",
-    "neg_log_moment",
     "total_flip_rate",
     "sample_location",
 ]
@@ -71,12 +70,6 @@ def total_mass(m: SwitchingMeasure) -> float:
     return math.fsum(w for _, w in m.atoms) + math.fsum(c[2] for c in m.beta_components)
 
 
-def _beta_pdf(z: float, a: float, b: float) -> float:
-    if z <= 0.0 or z >= 1.0:
-        return 0.0
-    return math.exp((a - 1.0) * math.log(z) + (b - 1.0) * math.log1p(-z) - _special.betaln(a, b))
-
-
 def group_switch_rate(m: SwitchingMeasure, b: int, k: int) -> float:
     """Aggregate rate at which some k-subset of b eligible blocks switches.
 
@@ -124,23 +117,6 @@ def small_jump_mass(m: SwitchingMeasure, eps: float) -> float:
     for a, b, mass in m.beta_components:
         above += mass * (1.0 - _special.betainc(a, b, eps))
     return max(total_mass(m) - above, 0.0)
-
-
-def neg_log_moment(m: SwitchingMeasure) -> float:
-    """E[-log Y] for Y distributed as the normalized measure.
-
-    Finite for every measure in this class: atoms contribute -w log z and a
-    Beta(a, b) component contributes digamma(a+b) - digamma(a).  Measures
-    with E[-log Y] infinite are not representable here.
-    """
-    tot = total_mass(m)
-    if tot <= 0.0:
-        raise ValueError("neg_log_moment is undefined for the zero measure")
-    acc = math.fsum(-w * math.log(z) for z, w in m.atoms)
-    acc += math.fsum(
-        mass * (_special.digamma(a + b) - _special.digamma(a)) for a, b, mass in m.beta_components
-    )
-    return acc / tot
 
 
 def total_flip_rate(m: SwitchingMeasure, b: int) -> float:

@@ -9,7 +9,9 @@ finding are summarized in the README's acceptance-status section; every
 other clause of those criteria passes.
 """
 
-from seedbank.acceptance import CRITERIA
+import re
+
+from seedbank.acceptance import CRITERIA, run_acceptance
 
 SEED = 0
 
@@ -20,6 +22,12 @@ def _run(ident):
     res = _BY_IDENT[ident](SEED)
     print(f"{'PASS' if res.passed else 'FAIL'} {res.ident} {res.name}: {res.detail}")
     return res
+
+
+def test_echo_lines_end_with_wall_seconds():
+    lines = []
+    run_acceptance(SEED, echo=lines.append, only={"01"})
+    assert len(lines) == 1 and re.fullmatch(r"PASS 01 .* \(\d+\.\d s\)", lines[0])
 
 
 def test_criterion_01_rate_table_exactness():

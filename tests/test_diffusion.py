@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats as scistats
+from scipy import special, stats as scistats
 
 from seedbank.blockcount import duality_rhs
 from seedbank.diffusion import (
     DiffusionState,
     IntegratorSettings,
     Trajectory,
+    _beta_clock,
+    _schedule,
     batch_paths,
     boundary_hitting_stats,
     delay_residual,
@@ -140,18 +142,99 @@ def test_beta_component_jump_sizes():
     assert scistats.kstest(zs, np.vectorize(cdf)).pvalue > 0.001
 
 
-def test_beta_jump_table_is_built_once():
-    from seedbank.diffusion import _beta_sampler
-
+def test_beta_model_is_deterministic():
     p = ModelParams(c=1.0, K=1.0,
                     lambda_da=SwitchingMeasure(beta_components=((0.7, 1.3, 0.4),)))
-    st = IntegratorSettings(horizon=0.5, dt=1e-2, jump_cutoff=0.05)
+    st = IntegratorSettings(horizon=5.0, dt=1e-2, jump_cutoff=0.05)
     first = integrate(p, DiffusionState(0.3, 0.6), st, seed=1)
-    misses = _beta_sampler.cache_info().misses
     again = integrate(p, DiffusionState(0.3, 0.6), st, seed=1)
-    batch_paths(p, 0.3, 0.6, st, 5, seed=2)
-    assert _beta_sampler.cache_info().misses == misses
+    assert first.jumps
     assert np.array_equal(first.x, again.x) and first.jumps == again.jumps
+
+
+# rate of jumps of size >= eps of mass x Beta(alpha, beta), that is
+# mass/B(alpha, beta) times the integral of z^(alpha-2) (1-z)^(beta-1) over
+# [eps, 1]; computed with mpmath at 50 digits
+BETA_RATES = {
+    (2.0, 2.0, 1.0, 0.05): 2.7075,
+    (5.0, 0.3, 0.6, 0.05): 0.64499948836110052,
+    (5.0, 0.3, 1.0, 1e-3): 1.0749999999998673,
+    (3.0, 7.0, 0.4, 1e-3): 1.799949801222403,
+    (1.5, 0.4, 1.0, 0.05): 1.5789581580124453,
+    (2.5, 2.5, 1.0, 0.3): 1.5581657272052658,
+    (1.0 + 1e-12, 2.0, 1.0, 0.05): 4.091464547106745,
+    (1.0, 2.0, 1.0, 0.05): 4.0914645471079819,
+    (1.0 - 1e-12, 2.0, 1.0, 0.05): 4.0914645471092186,
+    (1.0, 1.0, 1.0, 0.05): 2.9957322735539909,
+    (0.9, 0.3, 1.0, 0.7): 0.72955209638268075,
+    (0.7, 1.3, 0.4, 0.05): 1.4963482264248228,
+    (0.5, 20.0, 1.0, 0.05): 2.0107198617133349,
+    (0.3, 0.4, 1.0, 1e-3): 35.559919290436059,
+    (0.2, 0.2, 1.0, 0.05): 1.9622266949694311,
+}
+
+
+def _beta_jumps(a, b, mass, eps, exposure, seed):
+    """Jump sizes of one F-type Beta component over ``exposure`` lane-time."""
+    p = ModelParams(c=1.0, K=1.0,
+                    lambda_ad=SwitchingMeasure(beta_components=((a, b, mass),)))
+    _, _, z, is_f = _schedule(p, eps, exposure / 10, 10, np.random.default_rng(seed))
+    assert is_f.all()
+    return z
+
+
+def test_beta_clock_rate_is_closed_form_above_alpha_one():
+    for (a, b, mass, eps), want in BETA_RATES.items():
+        if a > 1.0:
+            assert _beta_clock(a, b, mass, eps)[0] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("a, b, mass, eps", list(BETA_RATES))
+def test_beta_clock_keeps_jumps_at_the_exact_rate(a, b, mass, eps):
+    # for alpha <= 1 the clock thins a bounding intensity; what it keeps must
+    # arrive at the exact rate
+    z = _beta_jumps(a, b, mass, eps, exposure=2e5 / BETA_RATES[(a, b, mass, eps)], seed=21)
+    assert abs(z.size - 2e5) <= 4.0 * math.sqrt(2e5)
+    assert z.min() >= eps and z.max() <= 1.0
+
+
+def test_beta_clock_is_continuous_across_alpha_one():
+    # at alpha = 1 the lower piece's mass is a logarithm; its expm1 form must
+    # not lose the digits that the power form h^p - eps^p loses as p -> 0
+    below, at, above = (_beta_clock(a, 2.0, 1.0, 0.05)[0] for a in (1 - 1e-12, 1.0, 1 + 1e-12))
+    assert below == pytest.approx(at, rel=1e-11)
+    assert above == pytest.approx(2.0 * (math.log(20.0) - 0.95), rel=1e-11)
+
+
+# integral of z^(alpha-2) (1-z)^(beta-1) over [z, 1], up to a constant factor
+SIZE_TAILS = {
+    (0.5, 0.5): lambda z: np.sqrt((1.0 - z) / z),
+    (0.5, 3.0): lambda z: -16.0 / 3.0 + 2.0 / np.sqrt(z) + 4.0 * np.sqrt(z) - 2.0 / 3.0 * z**1.5,
+    (1.0, 2.0): lambda z: -np.log(z) - 1.0 + z,
+    (5.0, 0.3): lambda z: special.betaincc(4.0, 0.3, z),
+}
+
+
+@pytest.mark.parametrize("a, b, eps", [
+    (0.5, 0.5, 0.05), (0.5, 0.5, 1e-3), (0.5, 0.5, 0.7), (0.5, 3.0, 0.05),
+    (1.0, 2.0, 1e-3), (5.0, 0.3, 0.05),
+])
+def test_beta_jump_sizes_follow_the_exact_law(a, b, eps):
+    tail = SIZE_TAILS[(a, b)]
+    z = _beta_jumps(a, b, 1.0, eps, exposure=2e4 / _beta_clock(a, b, 1.0, eps)[0], seed=22)
+    assert scistats.kstest(z, lambda v: 1.0 - tail(v) / tail(eps)).pvalue > 0.001
+
+
+def test_beta_duality_against_exact_rhs():
+    p = ModelParams(c=1.0, K=1.0,
+                    lambda_ad=SwitchingMeasure(beta_components=((0.3, 0.4, 0.5),)),
+                    lambda_da=SwitchingMeasure(beta_components=((2.0, 2.0, 0.5),)))
+    st = IntegratorSettings(horizon=1.0, dt=1e-3, jump_cutoff=0.05)
+    grid = duality_lhs_grid(p, 0.2, 0.8, [(1, 0), (0, 1), (1, 1), (2, 0)], [0.5, 1.0],
+                            20_000, seed=23, settings=st)
+    for (n, m, t), (mean, se) in grid.items():
+        rhs, _ = duality_rhs(n, m, 0.2, 0.8, p, t)
+        assert abs(mean - rhs) <= 3.5 * se + 0.01
 
 
 def test_allele_relabeling_symmetry():

@@ -8,7 +8,6 @@ from seedbank.measures import (
     ModelParams,
     SwitchingMeasure,
     group_switch_rate,
-    neg_log_moment,
     sample_location,
     small_jump_mass,
     total_flip_rate,
@@ -125,18 +124,6 @@ def test_small_jump_mass_monotone_and_splits_total():
         assert small_jump_mass(MIXED, eps) + above == pytest.approx(total_mass(MIXED), rel=1e-9)
     vals = [small_jump_mass(MIXED, eps) for eps in (0.05, 0.2, 0.5, 0.9)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-
-def test_neg_log_moment():
-    assert neg_log_moment(SwitchingMeasure.atom(1.0, 1.0)) == 0.0
-    assert neg_log_moment(SwitchingMeasure.atom(0.5, 1.0)) == pytest.approx(math.log(2))
-    b11 = SwitchingMeasure(beta_components=((1.0, 1.0, 1.0),))
-    assert neg_log_moment(b11) == pytest.approx(1.0, rel=1e-12)
-    want, _ = sciint.quad(lambda z: -math.log(z) * beta_pdf(z, 3.0, 1.5), 0.0, 1.0)
-    b = SwitchingMeasure(beta_components=((3.0, 1.5, 2.0),))
-    assert neg_log_moment(b) == pytest.approx(want, rel=1e-8)
-    with pytest.raises(ValueError):
-        neg_log_moment(SwitchingMeasure.zero())
 
 
 def test_sample_location_matches_measure():

@@ -1,16 +1,30 @@
 """Invariants over random finite measures: switching rates, the block-count
-generator, the agreement of the scalar and batch diffusion integrators and of
-the scalar and vectorised Wright-Fisher loops, and the config round trip."""
+generator, simulated genealogies and their log, the agreement of the scalar
+and batch diffusion integrators and of the scalar and vectorised Wright-Fisher
+loops, and the config round trip."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seedbank.blockcount import BlockCountState, _generator, bc_transition_rates, duality_rhs
-from seedbank.coalescent import TO_ACTIVE, TO_DORMANT, MarkedPartition, partition_transition_rates
+from seedbank.blockcount import (
+    BlockCountState,
+    _generator,
+    bc_transition_rates,
+    duality_rhs,
+    mrca_reachable,
+)
+from seedbank.coalescent import (
+    TO_ACTIVE,
+    TO_DORMANT,
+    Genealogy,
+    MarkedPartition,
+    partition_transition_rates,
+    simulate_coalescent,
+)
 from seedbank.config import EXPERIMENTS, ExperimentConfig, parse_config, serialize_config
 from seedbank.diffusion import IntegratorSettings, batch_paths, integrate
 from seedbank.forward_wf import WFConfig, run_trajectory, wf_ensemble
@@ -79,6 +93,34 @@ def test_duality_at_time_zero_is_the_monomial(params, s0, x, y):
     assert val == x**n * y**m and se == 0.0
 
 
+# c is 0 or at least 0.01: with a tiny positive c a run can last about 1/c
+# events, and holding times below the resolution of the float clock would log
+# two events at one time
+genealogy_models = st.builds(
+    lambda c, K, ad, da: ModelParams(c=c, K=K, lambda_ad=ad, lambda_da=da),
+    st.just(0.0) | st.floats(0.01, 3.0),
+    st.floats(0.1, 5.0),
+    measures,
+    measures,
+)
+samples = st.tuples(st.integers(0, 10), st.integers(0, 10)).filter(lambda s: 1 <= sum(s) <= 10)
+horizons = st.none() | st.floats(0.01, 5.0)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(genealogy_models, samples, horizons, seeds)
+def test_simulated_genealogy_replays_and_round_trips(params, s, horizon, seed):
+    # every logged event is a valid transition, the run ends in one block
+    # exactly when it reports the MRCA, and the JSONL log loses nothing
+    n, m = s
+    assume(horizon is not None or mrca_reachable(BlockCountState(n, m), params))
+    g = simulate_coalescent(n, m, params, horizon=horizon, seed=seed)
+    final = g.final_partition()  # replays the log, validating every event
+    assert (len(final.blocks) == 1) == g.reached_mrca
+    assert Genealogy.from_jsonl(g.to_jsonl()) == g
+
+
 # atoms on both sides of every cutoff below, so some are simulated as jumps and
 # some are folded into the drift
 diffusion_atoms = st.lists(st.tuples(st.floats(1e-4, 1.0), weights), max_size=2)
@@ -109,7 +151,7 @@ integrator_settings = st.builds(
 
 
 @settings(max_examples=30, deadline=None)
-@given(diffusion_models, unit, unit, integrator_settings, st.integers(0, 2**32 - 1))
+@given(diffusion_models, unit, unit, integrator_settings, seeds)
 def test_integrate_is_a_one_lane_batch(params, x0, y0, st_, seed):
     # one schedule, one scalar step and one jump interleave: a single batch
     # lane consumes the stream exactly like the scalar integrator
@@ -129,7 +171,7 @@ def wf_configs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(wf_configs(), unit, unit, st.integers(0, 300), st.integers(0, 2**32 - 1))
+@given(wf_configs(), unit, unit, st.integers(0, 300), seeds)
 def test_trajectory_is_a_one_lane_ensemble(cfg, x0, y0, generations, seed):
     # one generation rule: the scalar loop and one vectorised lane consume the
     # stream alike and stop at the same fixation
