@@ -56,7 +56,7 @@ from .mutation_stats import (
     sfs,
     theta_pi,
 )
-from .streams import substream
+from .streams import mean_stderr, substream
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
 
@@ -291,8 +291,7 @@ def _c10_mutation_oracle(seed) -> CriterionResult:
         seg[r] = len(muts)
     ea, ed = expected_branch_lengths_first_step(BlockCountState(4, 0), p)
     oracle = p.u_active / 2.0 * ea + p.u_dormant / 2.0 * ed
-    mean = float(seg.mean())
-    se = float(seg.std(ddof=1) / math.sqrt(reps))
+    mean, se = mean_stderr(seg)
     ok = abs(mean - oracle) <= 3.0 * se
     return CriterionResult(
         "10",

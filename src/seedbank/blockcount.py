@@ -10,15 +10,17 @@ the total: the last line keeps flipping between active and dormant.
 
 Three independent routes through this chain back the verification story:
 
-* a Gillespie simulator (scalar and vectorized-ensemble variants),
+* a Gillespie simulator: one scalar loop (``_jumps``), which the
+  marked-partition coalescent also runs on, and a vectorized ensemble,
 * first-step analysis: sparse linear solves for expected absorption time and
   expected active/dormant branch lengths,
 * the sparse matrix exponential of the generator: exact transient
   expectations, used as the right-hand side of the moment duality check.
 
 Every consumer of the chain reads its switching rates from one cached rate
-row per (measure, eligible count, single-line rate), so the simulators and
-the oracles cannot drift apart.
+row per (measure, eligible count, single-line rate), and every scalar
+consumer reads its moves from one category list (``_categories``), so the
+simulators and the oracles cannot drift apart.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from scipy import sparse as _sparse
 from scipy.sparse.linalg import expm_multiply, spsolve
 
 from .measures import ModelParams, SwitchingMeasure, group_switch_rate, total_mass
-from .streams import as_rng
+from .streams import as_rng, mean_stderr
 
 __all__ = [
     "BlockCountState",
@@ -74,6 +76,40 @@ def _switch_row(measure: SwitchingMeasure, b: int, single_rate: float) -> tuple[
     return tuple(row)
 
 
+MERGE = "merge"
+TO_DORMANT = "to_dormant"
+TO_ACTIVE = "to_active"
+
+# a scalar run stores every event (about 180 bytes each in a genealogy); past
+# this many it stops with an error instead of growing without bound
+MAX_EVENTS = 1_000_000
+
+
+def _categories(a: int, d: int, params: ModelParams) -> list[tuple[str, int, float]]:
+    """(kind, lines, rate) out of a active and d dormant lines, zero rates included.
+
+    The order is fixed: the merge (of 2 lines), then deactivations of 1..a
+    lines, then activations of 1..d lines.  This is the only list of the
+    chain's moves; every rate view and both simulators read it.
+    """
+    to_dormant = _switch_row(params.lambda_ad, a, params.c)
+    to_active = _switch_row(params.lambda_da, d, params.c * params.K)
+    return (
+        [(MERGE, 2, a * (a - 1) / 2.0)]
+        + [(TO_DORMANT, k, r) for k, r in enumerate(to_dormant, 1)]
+        + [(TO_ACTIVE, k, r) for k, r in enumerate(to_active, 1)]
+    )
+
+
+def _after(a: int, d: int, kind: str, k: int) -> tuple[int, int]:
+    """The line counts (active, dormant) after a move of kind on k lines."""
+    if kind == MERGE:
+        return a - 1, d
+    if kind == TO_DORMANT:
+        return a - k, d + k
+    return a + k, d - k
+
+
 def bc_transition_rates(s: BlockCountState, params: ModelParams) -> list[tuple[BlockCountState, float]]:
     """All positive-rate transitions out of state s.
 
@@ -81,19 +117,12 @@ def bc_transition_rates(s: BlockCountState, params: ModelParams) -> list[tuple[B
     (n-k, m+k)  at the aggregate k-deactivation rate, plus c*n when k = 1
     (n+l, m-l)  at the aggregate l-activation rate, plus c*K*m when l = 1
     """
-    n, m = s
-    if n < 0 or m < 0 or n + m < 1:
-        raise ValueError(f"invalid block-count state {s}")
-    out: list[tuple[BlockCountState, float]] = []
-    if n >= 2:
-        out.append((BlockCountState(n - 1, m), n * (n - 1) / 2.0))
-    for k, rate in enumerate(_switch_row(params.lambda_ad, n, params.c), start=1):
-        if rate > 0.0:
-            out.append((BlockCountState(n - k, m + k), rate))
-    for l, rate in enumerate(_switch_row(params.lambda_da, m, params.c * params.K), start=1):
-        if rate > 0.0:
-            out.append((BlockCountState(n + l, m - l), rate))
-    return out
+    n, m = _start(s, params, need_mrca=False)
+    return [
+        (BlockCountState(*_after(n, m, kind, k)), r)
+        for kind, k, r in _categories(n, m, params)
+        if r > 0.0
+    ]
 
 
 def mrca_reachable(s0: BlockCountState, params: ModelParams) -> bool:
@@ -102,6 +131,70 @@ def mrca_reachable(s0: BlockCountState, params: ModelParams) -> bool:
         return True
     # no way back from the seed bank: must never enter it
     return s0.m == 0 and total_mass(params.lambda_ad) == 0.0
+
+
+def _start(s0, params: ModelParams, *, need_mrca: bool) -> BlockCountState:
+    """s0 as a state, checked to hold a line and, with need_mrca, to reach the MRCA."""
+    s0 = BlockCountState(*s0)
+    if s0.n < 0 or s0.m < 0 or s0.n + s0.m < 1:
+        raise ValueError(f"need at least one line, got {tuple(s0)}")
+    if need_mrca and not mrca_reachable(s0, params):
+        raise ValueError(
+            "the most recent common ancestor is unreachable: dormant lines can "
+            "never reactivate with c = 0 and a zero dormant-to-active measure"
+        )
+    return s0
+
+
+def _pick(cats, u: float) -> tuple[str, int, float]:
+    """The first positive-rate category whose running rate sum reaches u.
+
+    If rounding leaves u above the sum, the last positive-rate category; a
+    zero-rate category is never picked.
+    """
+    acc = 0.0
+    for cat in cats:
+        if cat[2] > 0.0:
+            acc += cat[2]
+            pick = cat
+            if u <= acc:
+                break
+    return pick
+
+
+def _jumps(s0: BlockCountState, params: ModelParams, rng, *, horizon, stop_at_total_one: bool):
+    """The scalar Gillespie loop: yields (time, kind, lines, (active, dormant) after).
+
+    Each event draws one exponential holding time at the total rate and,
+    unless it falls past ``horizon``, one uniform that picks the category.
+    Stops before drawing anything once the total count is 1 (if
+    ``stop_at_total_one``), when no move has a positive rate, or at the
+    horizon.  Raises ValueError when the clock cannot advance or past
+    MAX_EVENTS events.
+    """
+    a, d = s0
+    t = 0.0
+    events = 0
+    while not (stop_at_total_one and a + d <= 1):
+        cats = _categories(a, d, params)
+        total = math.fsum(r for _, _, r in cats)
+        if total <= 0.0:
+            return  # nothing can happen anymore
+        t_next = t + rng.exponential(1.0 / total)
+        if horizon is not None and t_next > horizon:
+            return
+        if not t < t_next < math.inf:
+            raise ValueError(f"event time {t_next!r} does not advance the clock from {t!r} "
+                             f"at total rate {total!r}")
+        events += 1
+        if events > MAX_EVENTS:
+            raise ValueError(f"stopped at the event budget of {MAX_EVENTS} events "
+                             "(blockcount.MAX_EVENTS); pass a horizon to bound the run")
+        kind, k, _ = _pick(cats, rng.uniform(0.0, total))
+        t = t_next
+        counts = _after(a, d, kind, k)
+        a, d = counts
+        yield t, kind, k, counts
 
 
 def simulate_blockcount(
@@ -116,43 +209,12 @@ def simulate_blockcount(
     With ``horizon=None`` the run stops when the total count reaches 1; with
     a horizon it runs to that time (mark flips of the last line included).
     Returns the jump path [(time, state), ...] starting at (0, s0); the state
-    holds between consecutive entries.  Deterministic given the seed.
+    holds between consecutive entries.  Raises ValueError past MAX_EVENTS
+    events or when the clock cannot advance.  Deterministic given the seed.
     """
-    s0 = BlockCountState(*s0)
-    if s0.n + s0.m < 1:
-        raise ValueError("need at least one line")
-    if horizon is None and not mrca_reachable(s0, params):
-        raise ValueError(
-            "the most recent common ancestor is unreachable: dormant lines can "
-            "never reactivate with c = 0 and a zero dormant-to-active measure"
-        )
-    rng = as_rng(seed)
-    t = 0.0
-    state = s0
-    path = [(t, state)]
-    while True:
-        if horizon is None and state.n + state.m <= 1:
-            break
-        transitions = bc_transition_rates(state, params)
-        rates = [r for _, r in transitions]
-        total = math.fsum(rates)
-        if total <= 0.0:
-            break  # nothing can happen anymore
-        t_next = t + rng.exponential(1.0 / total)
-        if horizon is not None and t_next > horizon:
-            break
-        u = rng.uniform(0.0, total)
-        acc = 0.0
-        target = transitions[-1][0]
-        for st, r in transitions:
-            acc += r
-            if u <= acc:
-                target = st
-                break
-        t = t_next
-        state = target
-        path.append((t, state))
-    return path
+    s0 = _start(s0, params, need_mrca=horizon is None)
+    events = _jumps(s0, params, as_rng(seed), horizon=horizon, stop_at_total_one=horizon is None)
+    return [(0.0, s0)] + [(t, BlockCountState(*s)) for t, _, _, s in events]
 
 
 @dataclass
@@ -194,14 +256,7 @@ def blockcount_ensemble(
     ``stop_at_total_one=False`` keeps lanes running to the horizon so that
     the active/dormant split of the last line stays distributed correctly.
     """
-    s0 = BlockCountState(*s0)
-    if s0.n + s0.m < 1:
-        raise ValueError("need at least one line")
-    if stop_at_total_one and horizon is None and not mrca_reachable(s0, params):
-        raise ValueError(
-            "the most recent common ancestor is unreachable: dormant lines can "
-            "never reactivate with c = 0 and a zero dormant-to-active measure"
-        )
+    s0 = _start(s0, params, need_mrca=stop_at_total_one and horizon is None)
     if not stop_at_total_one and horizon is None:
         raise ValueError("running past total 1 requires a horizon")
 
@@ -378,14 +433,7 @@ def expected_branch_lengths_first_step(
 
 def _first_step_solve(s0, params) -> tuple[float, float, float]:
     """Expected (absorption time, active length, dormant length) from s0."""
-    s0 = BlockCountState(*s0)
-    if s0.n + s0.m < 1:
-        raise ValueError("need at least one line")
-    if not mrca_reachable(s0, params):
-        raise ValueError(
-            "first-step analysis needs every state to reach total 1; with c = 0 "
-            "and a zero dormant-to-active measure, dormant lines are stranded"
-        )
+    s0 = _start(s0, params, need_mrca=True)
     if s0.n + s0.m == 1:
         return 0.0, 0.0, 0.0
 
@@ -394,7 +442,7 @@ def _first_step_solve(s0, params) -> tuple[float, float, float]:
     Q_TT = Q[transient][:, transient]
     for i, q in zip(transient, Q_TT.diagonal()):
         if q >= 0.0:
-            raise ValueError(f"state {states[i]} is stranded; the MRCA is unreachable")
+            raise ValueError(f"state {states[i]} has no positive exit rate; it never reaches total 1")
     rewards = np.array([(1.0, states[i].n, states[i].m) for i in transient])
     sol = spsolve((-Q_TT).tocsc(), rewards)
     i0 = transient.index(index[s0])
@@ -422,20 +470,16 @@ def duality_rhs(
 
     method="mc" averages x^{N_t} y^{M_t} over ``reps`` simulated paths.
     """
-    if n < 0 or m < 0 or n + m < 1:
-        raise ValueError("need at least one line")
+    s0 = _start((n, m), params, need_mrca=False)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    s0 = BlockCountState(n, m)
     if method == "exact":
         return _duality_expm(s0, x, y, params, t), 0.0
     if method == "mc":
         res = blockcount_ensemble(
             s0, params, reps, horizon=t, stop_at_total_one=False, seed=seed
         )
-        vals = np.power(float(x), res.n) * np.power(float(y), res.m)
-        se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        return float(vals.mean()), se
+        return mean_stderr(np.power(float(x), res.n) * np.power(float(y), res.m))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -471,9 +515,7 @@ def tmrca_loglog_scan(params: ModelParams, n_list, reps: int, seed=None) -> list
         if n < 16:
             raise ValueError(f"scan needs n >= 16 for a stable log log n, got {n}")
         res = blockcount_ensemble(BlockCountState(n, 0), params, reps, seed=rng)
-        times = res.absorption_time
-        mean = float(times.mean())
-        se = float(times.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        mean, se = mean_stderr(res.absorption_time)
         rows.append(ScanRow(n=n, mean=mean, stderr=se, ratio=mean / math.log(math.log(n))))
     return rows
 
@@ -495,9 +537,7 @@ def coming_down_scan(
         res = blockcount_ensemble(
             BlockCountState(n, 0), params, reps, horizon=t_probe, seed=rng
         )
-        totals = res.total.astype(float)
-        mean = float(totals.mean())
-        se = float(totals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        mean, se = mean_stderr(res.total)
         ratio = mean / rows[-1].mean if rows and rows[-1].mean > 0 else float("nan")
         rows.append(ScanRow(n=n, mean=mean, stderr=se, ratio=ratio))
     return rows

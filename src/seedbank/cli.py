@@ -46,7 +46,7 @@ from .mutation_stats import (
     singletons,
     theta_pi,
 )
-from .streams import substream
+from .streams import mean_stderr, substream
 
 _WORKERS_ENV = "SEEDBANK_WORKERS"
 
@@ -101,12 +101,6 @@ def write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
         f.write("\n")
 
 
-def _mean_se(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return float(arr.mean()), se
-
-
 def _settings(cfg: ExperimentConfig) -> IntegratorSettings:
     return IntegratorSettings(
         horizon=cfg.horizon,
@@ -146,10 +140,10 @@ def run_coalescent(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             mrca_count += 1
     payload: dict = {"reps": cfg.reps, "reached_mrca": mrca_count}
     if t_list:
-        mean, se = _mean_se(t_list)
+        mean, se = mean_stderr(t_list)
         payload["tmrca"] = {"mean": mean, "stderr": se}
     for name, vals in (("active_length", la_list), ("dormant_length", ld_list)):
-        mean, se = _mean_se(vals)
+        mean, se = mean_stderr(vals)
         payload[name] = {"mean": mean, "stderr": se}
     write_json(out / "summary.json", payload, cfg)
 
@@ -164,7 +158,7 @@ def run_blockcount(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     payload: dict = {"reps": cfg.reps}
     absorbed = res.absorption_time[np.isfinite(res.absorption_time)]
     if absorbed.size:
-        mean, se = _mean_se(absorbed)
+        mean, se = mean_stderr(absorbed)
         payload["absorption_time"] = {"mean": mean, "stderr": se, "absorbed": int(absorbed.size)}
     if horizon is None and mrca_reachable(s0, cfg.model):
         payload["first_step_expected_tmrca"] = expected_tmrca_first_step(s0, cfg.model)
@@ -326,7 +320,7 @@ def run_stats(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         ("fay_wu_h", h),
         ("fu_li_d_numerator", d),
     ):
-        mean, se = _mean_se(vals)
+        mean, se = mean_stderr(vals)
         payload[name] = {"mean": mean, "stderr": se}
     s0 = BlockCountState(cfg.n, cfg.m)
     if mrca_reachable(s0, model):

@@ -5,6 +5,10 @@ Active pairs merge at rate 1, marks flip spontaneously at per-block rates c
 (to dormant) and c*K (to active), and the switching measures add coordinated
 flips of j blocks at once.  Dormant blocks never merge.
 
+The simulator runs on the Gillespie loop of the block-counting chain
+(:mod:`seedbank.blockcount`, whose event kinds it re-exports), which gives
+each event's time, kind and block count; this module draws the blocks.
+
 A simulation run produces a :class:`Genealogy`: the initial sample
 configuration plus a timestamped event log that can be replayed, validated,
 integrated for branch lengths, serialized to line-delimited JSON, and
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .blockcount import BlockCountState, _switch_row, mrca_reachable
+from .blockcount import MERGE, TO_ACTIVE, TO_DORMANT, _categories, _jumps, _start
 from .measures import ModelParams
 from .measures import group_switch_rate  # noqa: F401  kept bound: perfbench/tracing.py wraps it here
 from .streams import as_rng
@@ -27,6 +31,9 @@ from .streams import as_rng
 __all__ = [
     "ACTIVE",
     "DORMANT",
+    "MERGE",
+    "TO_DORMANT",
+    "TO_ACTIVE",
     "MarkedPartition",
     "GenealogyEvent",
     "Genealogy",
@@ -39,10 +46,6 @@ __all__ = [
 
 ACTIVE = "active"
 DORMANT = "dormant"
-
-MERGE = "merge"
-TO_DORMANT = "to_dormant"
-TO_ACTIVE = "to_active"
 
 
 @dataclass(frozen=True)
@@ -242,17 +245,6 @@ class Genealogy:
         return "# marks (active/dormant) omitted\n" + node[root] + ";\n"
 
 
-def _categories(a: int, d: int, params: ModelParams) -> list[tuple[str, int, float]]:
-    """(kind, size, rate) for merge, deactivations by size, activations by size."""
-    cats = [(MERGE, 0, a * (a - 1) / 2.0)]
-    cats += [(TO_DORMANT, j, r) for j, r in enumerate(_switch_row(params.lambda_ad, a, params.c), 1)]
-    cats += [
-        (TO_ACTIVE, j, r)
-        for j, r in enumerate(_switch_row(params.lambda_da, d, params.c * params.K), 1)
-    ]
-    return cats
-
-
 def partition_transition_rates(state: MarkedPartition, params: ModelParams) -> dict:
     """Total rate per event kind out of a marked partition.
 
@@ -277,66 +269,31 @@ def simulate_coalescent(
 ) -> Genealogy:
     """Run the coalescent from n active and m dormant singleton blocks.
 
-    Standard Gillespie loop: exponential holding time at the total rate, one
-    uniform draw selects the event category in the fixed order (merge, then
-    deactivations by size, then activations by size), then the specific pair
-    or j-subset is drawn uniformly.  Stops at the MRCA, or at ``horizon`` if
-    given (the partial genealogy is returned and reached_mrca stays False
-    unless the MRCA happened earlier).  Deterministic given the seed.
+    The block-count chain's Gillespie loop gives each event's time, kind and
+    number of blocks; the specific pair or j-subset is then drawn uniformly
+    from the same generator.  Stops at the MRCA without drawing further, or
+    at ``horizon`` if given (the partial genealogy is returned and
+    reached_mrca stays False unless the MRCA happened earlier).  Raises
+    ValueError past ``blockcount.MAX_EVENTS`` events or when the clock
+    cannot advance.  Deterministic given the seed.
     """
-    if n < 0 or m < 0 or n + m < 1:
-        raise ValueError("need at least one sampled line")
-    if horizon is None and not mrca_reachable(BlockCountState(n, m), params):
-        raise ValueError(
-            "the most recent common ancestor is unreachable: dormant lines can "
-            "never reactivate with c = 0 and a zero dormant-to-active measure"
-        )
+    s0 = _start((n, m), params, need_mrca=horizon is None)
     rng = as_rng(seed)
     active = list(range(1, n + 1))
     dormant = list(range(n + 1, n + m + 1))
     g = Genealogy(n_active=n, m_dormant=m)
     t = 0.0
-    while len(active) + len(dormant) > 1:
-        cats = _categories(len(active), len(dormant), params)
-        total = math.fsum(r for _, _, r in cats)
-        if total <= 0.0:
-            break  # stranded; only reachable under a horizon
-        t_next = t + rng.exponential(1.0 / total)
-        if horizon is not None and t_next > horizon:
-            break
-        u = rng.uniform(0.0, total)
-        acc = 0.0
-        kind, size = cats[-1][0], cats[-1][1]
-        for k_, j_, r in cats:
-            acc += r
-            if u <= acc:
-                kind, size = k_, j_
-                break
-        t = t_next
+    for t, kind, k, _ in _jumps(s0, params, rng, horizon=horizon, stop_at_total_one=True):
+        pool, other = (dormant, active) if kind == TO_ACTIVE else (active, dormant)
+        picked = sorted(pool[int(i)] for i in rng.choice(len(pool), size=k, replace=False))
         if kind == MERGE:
-            i1, i2 = rng.choice(len(active), size=2, replace=False)
-            b1, b2 = active[int(i1)], active[int(i2)]
-            lo, hi = min(b1, b2), max(b1, b2)
-            active.remove(hi)
-            g.events.append(GenealogyEvent(time=t, kind=MERGE, blocks=(lo, hi)))
-        elif kind == TO_DORMANT:
-            picked = sorted(
-                active[int(i)] for i in rng.choice(len(active), size=size, replace=False)
-            )
-            for b in picked:
-                active.remove(b)
-            dormant.extend(picked)
-            dormant.sort()
-            g.events.append(GenealogyEvent(time=t, kind=TO_DORMANT, blocks=tuple(picked)))
+            active.remove(picked[1])  # the merged block keeps the smaller id
         else:
-            picked = sorted(
-                dormant[int(i)] for i in rng.choice(len(dormant), size=size, replace=False)
-            )
             for b in picked:
-                dormant.remove(b)
-            active.extend(picked)
-            active.sort()
-            g.events.append(GenealogyEvent(time=t, kind=TO_ACTIVE, blocks=tuple(picked)))
+                pool.remove(b)
+            other.extend(picked)
+            other.sort()
+        g.events.append(GenealogyEvent(time=t, kind=kind, blocks=tuple(picked)))
     g.reached_mrca = len(active) + len(dormant) == 1
     g.end_time = horizon if (horizon is not None and not g.reached_mrca) else t
     return g

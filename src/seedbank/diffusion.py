@@ -37,7 +37,7 @@ import numpy as np
 from scipy import special as _special
 
 from .measures import ModelParams, small_jump_mass
-from .streams import as_rng
+from .streams import as_rng, mean_stderr
 
 __all__ = [
     "IntegratorSettings",
@@ -630,11 +630,9 @@ def duality_lhs_grid(
         settings = IntegratorSettings(horizon=max(run_times), dt=1e-3)
     res = batch_paths(params, x, y, settings, reps, seed, snapshot_times=run_times)
     for t_s, xs, ys in res.snapshots:
+        key_t = next(t for t in times if abs(float(t) - t_s) < 1e-9)
         for n, m in exponents:
-            vals = xs**n * ys**m
-            se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-            key_t = next(t for t in times if abs(float(t) - t_s) < 1e-9)
-            out[(n, m, key_t)] = (float(vals.mean()), se)
+            out[(n, m, key_t)] = mean_stderr(xs**n * ys**m)
     return out
 
 
@@ -662,9 +660,7 @@ def martingale_drift(
     res = batch_paths(params, x0, y0, settings, reps, seed, snapshot_times=checkpoints)
     rows = []
     for t_s, xs, ys in res.snapshots:
-        vals = params.K * xs + ys
-        se = float(vals.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        rows.append((t_s, float(vals.mean()), se))
+        rows.append((t_s, *mean_stderr(params.K * xs + ys)))
     return rows
 
 

@@ -10,13 +10,18 @@ worker processes.
 The mixing function is ``SeedSequence(master_seed, spawn_key=key)``: two
 distinct keys yield statistically independent PCG64 streams, and the same
 ``(master_seed, key)`` pair always yields the same stream.
+
+:func:`mean_stderr` is the one place replicate values become a mean and its
+standard error.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["substream", "as_rng"]
+__all__ = ["substream", "as_rng", "mean_stderr"]
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -37,3 +42,10 @@ def as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def mean_stderr(values) -> tuple[float, float]:
+    """Sample mean and its standard error (ddof = 1; 0 for a single value)."""
+    arr = np.asarray(values, dtype=float)
+    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), se

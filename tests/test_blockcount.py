@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from seedbank import blockcount
 from seedbank.blockcount import (
+    MERGE,
+    TO_ACTIVE,
+    TO_DORMANT,
     BlockCountState,
+    _categories,
+    _pick,
     _reachable_states,
     bc_transition_rates,
     blockcount_ensemble,
@@ -17,6 +23,7 @@ from seedbank.blockcount import (
     simulate_blockcount,
     tmrca_loglog_scan,
 )
+from seedbank.coalescent import simulate_coalescent
 from seedbank.measures import ModelParams, SwitchingMeasure
 
 P11 = ModelParams(c=1.0, K=1.0)
@@ -49,6 +56,65 @@ def test_rate_table_with_atom():
     assert set(got) == set(want)
     for s, r in want.items():
         assert got[s] == pytest.approx(r, abs=1e-15)
+
+
+def test_pick_never_returns_a_zero_rate_category():
+    # u = 0.0 with a leading zero-rate merge (one active line)
+    cats = _categories(1, 2, P11)
+    assert cats[0] == (MERGE, 2, 0.0)
+    assert _pick(cats, 0.0) == (TO_DORMANT, 1, 1.0)
+    # u past the left-to-right running sum with a trailing zero-rate category
+    assert cats[-1] == (TO_ACTIVE, 2, 0.0)
+    acc = 0.0
+    for _, _, r in cats:
+        acc += r
+    assert _pick(cats, math.nextafter(acc, math.inf)) == (TO_ACTIVE, 1, 2.0)
+
+
+class _ZeroUniform(np.random.Generator):
+    """A generator whose category draw is always the lower end, u = 0.0."""
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return low
+
+
+def test_simulators_skip_a_zero_rate_merge_at_u_zero():
+    for sim in (
+        lambda rng: [s for _, s in simulate_blockcount(BlockCountState(1, 2), P11, horizon=2.0, seed=rng)],
+        lambda rng: [ev.kind for ev in simulate_coalescent(1, 2, P11, horizon=2.0, seed=rng).events],
+    ):
+        steps = sim(_ZeroUniform(np.random.PCG64(0)))
+        assert len(steps) > 1 and MERGE not in steps
+
+
+# subnormal c: the holding times overflow the clock or fall below its resolution
+SUBNORMAL_C = ModelParams(c=1.1125369292536007e-308, K=1.0)
+# c = 1e-300 with this atom: each return of both lines to the seed bank
+# costs about 1/c of clock time, after which unit holding times are lost
+TINY_C = ModelParams(c=1e-300, K=1.0, lambda_ad=SwitchingMeasure.atom(0.5, 1.0))
+
+
+@pytest.mark.parametrize("params", [SUBNORMAL_C, TINY_C])
+def test_event_times_must_advance(params):
+    for seed in range(3):
+        with pytest.raises(ValueError, match="does not advance the clock"):
+            simulate_blockcount(BlockCountState(0, 2), params, seed=seed)
+        with pytest.raises(ValueError, match="does not advance the clock"):
+            simulate_coalescent(0, 2, params, seed=seed)
+
+
+def test_event_budget_stops_a_runaway_run(monkeypatch):
+    long_path = simulate_blockcount(BlockCountState(2, 0), P11, horizon=2000.0, seed=0)
+    monkeypatch.setattr(blockcount, "MAX_EVENTS", 1000)
+    # c = 1e-6: both lines are active together about once per 1e6 flips
+    slow = ModelParams(c=1e-6, K=1.0, lambda_ad=ATOM)
+    with pytest.raises(ValueError, match=r"event budget of 1000 events.*horizon"):
+        simulate_blockcount(BlockCountState(0, 2), slow, seed=0)
+    with pytest.raises(ValueError, match=r"event budget of 1000 events.*horizon"):
+        simulate_coalescent(0, 2, slow, seed=0)
+    # a run of exactly the budget is allowed
+    path = long_path[:1001]
+    assert simulate_blockcount(BlockCountState(2, 0), P11, horizon=path[-1][0], seed=0) == path
 
 
 def test_first_step_examples():

@@ -16,8 +16,10 @@ from seedbank.blockcount import (
     bc_transition_rates,
     duality_rhs,
     mrca_reachable,
+    simulate_blockcount,
 )
 from seedbank.coalescent import (
+    MERGE,
     TO_ACTIVE,
     TO_DORMANT,
     Genealogy,
@@ -93,9 +95,9 @@ def test_duality_at_time_zero_is_the_monomial(params, s0, x, y):
     assert val == x**n * y**m and se == 0.0
 
 
-# c is 0 or at least 0.01: with a tiny positive c a run can last about 1/c
-# events, and holding times below the resolution of the float clock would log
-# two events at one time
+# c is 0 or at least 0.01: without a horizon, a tiny positive c makes a run
+# last about 1/c events or stop with an error once holding times fall below
+# the resolution of the float clock
 genealogy_models = st.builds(
     lambda c, K, ad, da: ModelParams(c=c, K=K, lambda_ad=ad, lambda_da=da),
     st.just(0.0) | st.floats(0.01, 3.0),
@@ -148,6 +150,29 @@ integrator_settings = st.builds(
     st.sampled_from([1e-3, 0.05, 0.3]),
     st.sampled_from(["binomial", "gaussian"]),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(models, small_states, st.floats(0.01, 5.0), seeds)
+def test_simulated_steps_are_positive_rate_chain_moves(params, s0, horizon, seed):
+    # every step of a block-count path and every genealogy event, projected
+    # to line counts, is a positive-rate move of the chain at a later time
+    path = simulate_blockcount(BlockCountState(*s0), params, horizon=horizon, seed=seed)
+    counts = [(0.0, BlockCountState(*s0))]
+    for ev in simulate_coalescent(*s0, params, horizon=horizon, seed=seed).events:
+        a, d = counts[-1][1]
+        k = len(ev.blocks)
+        if ev.kind == MERGE:
+            a -= 1
+        elif ev.kind == TO_DORMANT:
+            a, d = a - k, d + k
+        else:
+            a, d = a + k, d - k
+        counts.append((ev.time, BlockCountState(a, d)))
+    for steps in (path, counts):
+        for (t0, s), (t1, target) in zip(steps, steps[1:]):
+            assert t1 > t0
+            assert dict(bc_transition_rates(s, params)).get(target, 0.0) > 0.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seedbank.streams import as_rng, substream
+from seedbank.streams import as_rng, mean_stderr, substream
 
 
 def test_substream_reproducible_and_distinct():
@@ -27,3 +27,9 @@ def test_as_rng_passthrough():
     assert isinstance(as_rng(7), np.random.Generator)
     x = as_rng(7).random()
     assert as_rng(7).random() == x
+
+
+def test_mean_stderr():
+    mean, se = mean_stderr([1, 2, 3, 4])
+    assert mean == 2.5 and se == float(np.std([1.0, 2.0, 3.0, 4.0], ddof=1) / 2.0)
+    assert mean_stderr(np.array([7])) == (7.0, 0.0)
