@@ -40,7 +40,6 @@ from .diffusion import (
     batch_paths,
     boundary_hitting_stats,
     delay_residual,
-    duality_lhs,
     duality_lhs_grid,
     fixation_stats,
     integrate,

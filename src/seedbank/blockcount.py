@@ -270,8 +270,6 @@ def blockcount_ensemble(
         if stop_at_total_one:
             return EnsembleResult(n=n, m=m, absorption_time=absorbed_at)
     alive = np.ones(reps, dtype=bool)
-    if stop_at_total_one and s0.n + s0.m == 1:
-        alive[:] = False
 
     # (to_dormant, ...) per clock; the Beta columns come after every atom
     # column, so the random draws of an atom-only model do not depend on them

@@ -13,6 +13,9 @@ A simulation run produces a :class:`Genealogy`: the initial sample
 configuration plus a timestamped event log that can be replayed, validated,
 integrated for branch lengths, serialized to line-delimited JSON, and
 exported to Newick once the most recent common ancestor has been reached.
+One validated walk of the log (``Genealogy._walk``) is the only code that
+applies events to blocks; replay, Newick export, branch lengths and mark
+segments all consume it, so each rejects a corrupt log the same way.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .blockcount import MERGE, TO_ACTIVE, TO_DORMANT, _categories, _jumps, _start
+from .blockcount import MERGE, TO_ACTIVE, TO_DORMANT, _after, _categories, _jumps, _start
 from .measures import ModelParams
 from .measures import group_switch_rate  # noqa: F401  kept bound: perfbench/tracing.py wraps it here
 from .streams import as_rng
@@ -46,6 +49,8 @@ __all__ = [
 
 ACTIVE = "active"
 DORMANT = "dormant"
+# event kind -> (mark its blocks must carry, mark they carry afterwards)
+_MARKS = {MERGE: (ACTIVE, ACTIVE), TO_DORMANT: (ACTIVE, DORMANT), TO_ACTIVE: (DORMANT, ACTIVE)}
 
 
 @dataclass(frozen=True)
@@ -113,47 +118,63 @@ class Genealogy:
     def initial_partition(self) -> MarkedPartition:
         return MarkedPartition.singletons(self.n_active, self.m_dormant)
 
+    def _walk(self, state: dict) -> Iterator[tuple[GenealogyEvent, list]]:
+        """Apply the event log to ``state``, the one place events move blocks.
+
+        Fills ``state`` with the sample's singletons as block id -> (leaves,
+        mark, since), where since is the time the block took its current
+        mark, and updates it in place.  Yields (event, ended) per event,
+        ended listing the (id, leaves, mark, since) entries the event
+        replaced.  Raises ValueError on a non-increasing time, an unknown
+        kind or block, a repeated block, a merge of anything but two distinct
+        active blocks, a flip of the wrong mark, and, after the last event,
+        on a log flagged at the MRCA that does not end at one block or an
+        end_time before the last event.
+        """
+        for leaves, mark in self.initial_partition().blocks:
+            state[min(leaves)] = (leaves, mark, 0.0)
+        t_prev = 0.0
+        for ev in self.events:
+            t, kind, blocks = ev.time, ev.kind, ev.blocks
+            if not t > t_prev:
+                raise ValueError(f"event times must strictly increase, got {t}")
+            t_prev = t
+            if kind not in _MARKS:
+                raise ValueError(f"unknown event kind {kind!r}")
+            want, new = _MARKS[kind]
+            if (len(blocks) != 2 if kind == MERGE else not blocks) or len(set(blocks)) < len(blocks):
+                raise ValueError(f"{kind} needs distinct blocks (two for a merge), got {blocks}")
+            ended = []
+            for b in blocks:
+                if b not in state:
+                    raise ValueError(f"{kind} references unknown block {b}")
+                leaves, mark, since = state[b]
+                if mark != want:
+                    raise ValueError(f"{kind} of block {b} with mark {mark!r}")
+                ended.append((b, leaves, mark, since))
+            if kind == MERGE:
+                for b in blocks:
+                    state.pop(b)
+                # the merged block keeps the smaller id
+                state[min(blocks)] = (ended[0][1] | ended[1][1], new, t)
+            else:
+                for b, leaves, _, _ in ended:
+                    state[b] = (leaves, new, t)
+            yield ev, ended
+        if self.reached_mrca and len(state) != 1:
+            raise ValueError(f"genealogy flagged at the MRCA ends with {len(state)} blocks")
+        if not self.end_time >= t_prev:
+            raise ValueError(f"end time {self.end_time} precedes the last event at {t_prev}")
+
     def replay(self) -> Iterator[tuple[float, MarkedPartition]]:
         """Apply the event log step by step, validating every transition.
 
         Yields (event time, partition after the event).  Raises ValueError on
-        any structurally invalid event (merge of non-active or identical
-        blocks, flips of the wrong mark, non-increasing times).
+        any structurally invalid log (see ``_walk``).
         """
-        state: dict[int, tuple[frozenset[int], str]] = {}
-        for leaves, mark in self.initial_partition().blocks:
-            state[min(leaves)] = (leaves, mark)
-        prev_t = 0.0
-        for ev in self.events:
-            if ev.time <= prev_t:
-                raise ValueError(f"event times must strictly increase, got {ev.time}")
-            prev_t = ev.time
-            if ev.kind == MERGE:
-                i, j = ev.blocks
-                if i == j:
-                    raise ValueError("merge needs two distinct blocks")
-                for b in (i, j):
-                    if b not in state:
-                        raise ValueError(f"merge references unknown block {b}")
-                    if state[b][1] != ACTIVE:
-                        raise ValueError(f"merge references dormant block {b}")
-                leaves = state.pop(i)[0] | state.pop(j)[0]
-                state[min(i, j)] = (leaves, ACTIVE)
-            elif ev.kind in (TO_DORMANT, TO_ACTIVE):
-                if not ev.blocks:
-                    raise ValueError("mark flip with no blocks")
-                want = ACTIVE if ev.kind == TO_DORMANT else DORMANT
-                new = DORMANT if ev.kind == TO_DORMANT else ACTIVE
-                for b in ev.blocks:
-                    if b not in state:
-                        raise ValueError(f"flip references unknown block {b}")
-                    if state[b][1] != want:
-                        raise ValueError(f"flip of block {b} with mark {state[b][1]!r}")
-                for b in ev.blocks:
-                    state[b] = (state[b][0], new)
-            else:
-                raise ValueError(f"unknown event kind {ev.kind!r}")
-            part = MarkedPartition(blocks=tuple(state.values()))
+        state: dict = {}
+        for ev, _ in self._walk(state):
+            part = MarkedPartition(tuple((leaves, mark) for leaves, mark, _ in state.values()))
             part.validate()
             yield ev.time, part
 
@@ -222,27 +243,15 @@ class Genealogy:
         """
         if not self.reached_mrca:
             raise ValueError("Newick export needs a genealogy that reached the MRCA")
-        node: dict[int, str] = {}
-        born: dict[int, float] = {}
-        for leaves, _ in self.initial_partition().blocks:
-            b = min(leaves)
-            node[b] = str(b)
-            born[b] = 0.0
-        root = min(born)
-        for ev in self.events:
-            if ev.kind != MERGE:
-                continue
-            i, j = ev.blocks
-            li = ev.time - born[i]
-            lj = ev.time - born[j]
-            keep = min(i, j)
-            node[keep] = f"({node[i]}:{li!r},{node[j]}:{lj!r})"
-            born[keep] = ev.time
-            root = keep
-            for b in (i, j):
-                if b != keep:
-                    del node[b], born[b]
-        return "# marks (active/dormant) omitted\n" + node[root] + ";\n"
+        node = {b: str(b) for b in range(1, self.sample_size + 1)}
+        born = dict.fromkeys(node, 0.0)
+        for ev, _ in self._walk({}):
+            if ev.kind == MERGE:
+                subtrees = ",".join(f"{node.pop(b)}:{ev.time - born.pop(b)!r}" for b in ev.blocks)
+                node[min(ev.blocks)] = f"({subtrees})"
+                born[min(ev.blocks)] = ev.time
+        (tree,) = node.values()
+        return "# marks (active/dormant) omitted\n" + tree + ";\n"
 
 
 def partition_transition_rates(state: MarkedPartition, params: ModelParams) -> dict:
@@ -319,19 +328,12 @@ def branch_lengths(g: Genealogy) -> tuple[float, float]:
     t_prev = 0.0
     acc_a = []
     acc_d = []
-    for ev in g.events:
+    for ev, _ in g._walk({}):
         dt = ev.time - t_prev
         acc_a.append(a * dt)
         acc_d.append(d * dt)
         t_prev = ev.time
-        if ev.kind == MERGE:
-            a -= 1
-        elif ev.kind == TO_DORMANT:
-            a -= len(ev.blocks)
-            d += len(ev.blocks)
-        else:
-            a += len(ev.blocks)
-            d -= len(ev.blocks)
+        a, d = _after(a, d, ev.kind, len(ev.blocks))
     dt = g.end_time - t_prev
     acc_a.append(a * dt)
     acc_d.append(d * dt)
@@ -345,29 +347,15 @@ def mark_segments(g: Genealogy) -> list[tuple[int, frozenset[int], str, float, f
     The root block created by the final merge has no segment.  This is the
     substrate for dropping mutations on the genealogy.
     """
-    state: dict[int, tuple[frozenset[int], str, float]] = {}
-    for leaves, mark in g.initial_partition().blocks:
-        state[min(leaves)] = (leaves, mark, 0.0)
+    state: dict = {}
     segments = []
-
-    def close(b: int, t: float):
-        leaves, mark, t0 = state[b]
-        if t > t0:
-            segments.append((b, leaves, mark, t0, t))
-
-    for ev in g.events:
-        if ev.kind == MERGE:
-            i, j = ev.blocks
-            close(i, ev.time)
-            close(j, ev.time)
-            leaves = state.pop(i)[0] | state.pop(j)[0]
-            state[min(i, j)] = (leaves, ACTIVE, ev.time)
-        else:
-            new = DORMANT if ev.kind == TO_DORMANT else ACTIVE
-            for b in ev.blocks:
-                close(b, ev.time)
-                state[b] = (state[b][0], new, ev.time)
+    for ev, ended in g._walk(state):
+        for b, leaves, mark, t0 in ended:
+            segments.append((b, leaves, mark, t0, ev.time))
     if not g.reached_mrca:
-        for b in state:
-            close(b, g.end_time)
+        segments.extend(
+            (b, leaves, mark, t0, g.end_time)
+            for b, (leaves, mark, t0) in state.items()
+            if g.end_time > t0
+        )
     return segments

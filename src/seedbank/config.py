@@ -275,6 +275,8 @@ def _range_errors(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         ("y0", 0.0 <= cfg.y0 <= 1.0, f"y0 must lie in [0, 1], got {cfg.y0}"),
         ("pop_size", cfg.pop_size >= 1, f"pop_size must be >= 1, got {cfg.pop_size}"),
         ("generations", cfg.generations >= 0, f"generations must be >= 0, got {cfg.generations}"),
+        ("record_every", cfg.record_every >= 1, f"record_every must be >= 1, got {cfg.record_every}"),
+        ("t_probe", cfg.t_probe > 0, f"t_probe must be positive, got {cfg.t_probe}"),
     )
     return [(key, msg) for key, ok, msg in checks if not ok]
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "delay_residual",
-    "duality_lhs",
     "duality_lhs_grid",
     "martingale_drift",
     "boundary_hitting_stats",
@@ -588,20 +587,11 @@ def batch_paths(
 # ---------------------------------------------------------------------------
 
 
-def duality_lhs(
-    params: ModelParams,
-    x: float,
-    y: float,
-    n: int,
-    m: int,
-    t: float,
-    reps: int,
-    seed=None,
-    settings: Optional[IntegratorSettings] = None,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E[X_t^n Y_t^m] with its standard error."""
-    grid = duality_lhs_grid(params, x, y, [(n, m)], [t], reps, seed, settings)
-    return grid[(n, m, t)]
+def _run_settings(settings: Optional[IntegratorSettings], T: float) -> IntegratorSettings:
+    """The settings of an experiment run to horizon T (dt = 1e-3 by default)."""
+    if settings is None:
+        return IntegratorSettings(horizon=T, dt=1e-3)
+    return replace(settings, horizon=T)
 
 
 def duality_lhs_grid(
@@ -648,15 +638,15 @@ def martingale_drift(
     """Mean of K*X_t + Y_t at each checkpoint, with standard errors.
 
     Without mutation and jumps this quantity is a bounded martingale, so
-    every row should sit at K*x0 + y0 up to Monte Carlo noise.
+    every row should sit at K*x0 + y0 up to Monte Carlo noise.  T is the
+    horizon of the run; ``settings`` gives the rest.
     """
     if any(r > 0.0 for r in (params.u1, params.u2, params.u1p, params.u2p)):
         raise ValueError("the martingale check needs zero mutation rates")
     if not params.is_spontaneous():
         raise ValueError("the martingale check needs zero switching measures")
     x0, y0 = _as_pair(s0)
-    if settings is None:
-        settings = IntegratorSettings(horizon=T, dt=1e-3)
+    settings = _run_settings(settings, T)
     res = batch_paths(params, x0, y0, settings, reps, seed, snapshot_times=checkpoints)
     rows = []
     for t_s, xs, ys in res.snapshots:
@@ -677,24 +667,17 @@ def boundary_hitting_stats(
     A lane counts as a hit when the coordinate lands exactly on the clamp
     boundary at any step.  The half-step rerun makes discretization-induced
     hits visible: frequencies that collapse under refinement are Euler
-    artifacts, not features of the process.
+    artifacts, not features of the process.  T is the horizon of both runs;
+    ``settings`` gives the rest.
     """
     x0, y0 = _as_pair(s0)
     if not (0.0 < x0 < 1.0 and 0.0 < y0 < 1.0):
         raise ValueError("boundary statistics need an interior start")
-    if settings is None:
-        settings = IntegratorSettings(horizon=T, dt=1e-3)
+    settings = _run_settings(settings, T)
     rng = as_rng(seed)
     out = {}
     for dt in (settings.dt, settings.dt / 2.0):
-        run = IntegratorSettings(
-            horizon=T,
-            dt=dt,
-            jump_cutoff=settings.jump_cutoff,
-            boundary_tol=settings.boundary_tol,
-            noise_model=settings.noise_model,
-        )
-        res = batch_paths(params, x0, y0, run, reps, rng, track_hits=True)
+        res = batch_paths(params, x0, y0, replace(settings, dt=dt), reps, rng, track_hits=True)
         out[dt] = {name: float(flags.mean()) for name, flags in res.hits.items()}
     return out
 
@@ -734,13 +717,13 @@ def fixation_stats(
     (the dormant coordinate only approaches the corner exponentially, so an
     exact-zero detection would never fire; the snap bias on the fixation
     probability is at most corner_tol).  Unfixed runs are reported in their
-    own bucket, never counted as fixed.
+    own bucket, never counted as fixed.  T is the horizon of the run;
+    ``settings`` gives the rest.
     """
     x0, y0 = _as_pair(s0)
     if any(r > 0.0 for r in (params.u1, params.u2, params.u1p, params.u2p)):
         raise ValueError("fixation statistics need zero mutation rates")
-    if settings is None:
-        settings = IntegratorSettings(horizon=T, dt=1e-3)
+    settings = _run_settings(settings, T)
     res = batch_paths(params, x0, y0, settings, reps, seed, freeze_corner_tol=corner_tol)
     at11 = (res.final_x >= 1.0 - corner_tol) & (res.final_y >= 1.0 - corner_tol)
     at00 = (res.final_x <= corner_tol) & (res.final_y <= corner_tol)

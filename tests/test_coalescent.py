@@ -24,6 +24,7 @@ from seedbank.coalescent import (
     tmrca,
 )
 from seedbank.measures import ModelParams, SwitchingMeasure
+from seedbank.mutation_stats import drop_mutations
 
 P11 = ModelParams(c=1.0, K=1.0)
 PMIX = ModelParams(
@@ -234,13 +235,31 @@ def test_newick():
         partial.to_newick()
 
 
+# hand-built corrupt logs: (n_active, m_dormant, events, end_time, reached_mrca)
+CORRUPT_LOGS = {
+    "merge of a dormant block": (1, 1, [(0.5, "merge", (1, 2))], 0.5, True),
+    "wrong-mark flip": (2, 0, [(0.3, "to_active", (1,)), (1.0, "merge", (1, 2))], 1.0, True),
+    "flip repeating a block": (
+        2, 0, [(0.2, "to_dormant", (1, 1)), (0.4, "to_active", (1,)), (1.0, "merge", (1, 2))],
+        1.0, True,
+    ),
+    "equal event times": (3, 0, [(0.5, "merge", (1, 2)), (0.5, "merge", (1, 3))], 0.5, True),
+    "flagged at the MRCA with 2 blocks left": (3, 0, [(0.4, "merge", (1, 2))], 0.4, True),
+    "end time before the last event": (2, 0, [(1.0, "merge", (1, 2))], 0.5, True),
+}
+
+
 def test_replay_rejects_corrupt_logs():
-    g = simulate_coalescent(3, 0, P11, seed=3)
-    bad = Genealogy(n_active=3, m_dormant=0, events=list(g.events), end_time=g.end_time)
-    bad.events.insert(0, GenealogyEvent(time=g.events[0].time / 2, kind="to_active", blocks=(1,)))
-    with pytest.raises(ValueError):
-        list(bad.replay())
-    bad2 = Genealogy(n_active=2, m_dormant=1, end_time=1.0)
-    bad2.events.append(GenealogyEvent(time=0.5, kind="merge", blocks=(1, 3)))
-    with pytest.raises(ValueError):
-        list(bad2.replay())  # block 3 is dormant
+    for name, (n, m, events, end_time, reached) in CORRUPT_LOGS.items():
+        g = Genealogy(n_active=n, m_dormant=m, end_time=end_time, reached_mrca=reached,
+                      events=[GenealogyEvent(*ev) for ev in events])
+        consumers = [lambda: list(g.replay()), lambda: branch_lengths(g),
+                     lambda: mark_segments(g), lambda: drop_mutations(g, 1.0, 1.0, seed=0)]
+        if reached:
+            consumers.append(g.to_newick)
+        for consume in consumers:
+            try:
+                consume()
+            except ValueError:
+                continue
+            pytest.fail(f"{name}: accepted by {consume}")

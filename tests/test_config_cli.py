@@ -87,6 +87,16 @@ def test_range_error_names_key_and_line():
     with pytest.raises(ConfigError) as err:
         parse_config(text.replace("atom 0.5 -1", "atom 0.5 1"))
     assert err.value.errors == [(5, "reps must be positive, got 0")]
+    for text, want in (
+        ("[numeric]\nrecord_every = 0\n", [(2, "record_every must be >= 1, got 0")]),
+        (
+            "[experiment]\nkind = coming-down-scan\nt_probe = 0\n",
+            [(3, "t_probe must be positive, got 0.0")],
+        ),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == want
 
 
 def test_out_must_survive_the_text_format():

@@ -14,7 +14,6 @@ from seedbank.diffusion import (
     batch_paths,
     boundary_hitting_stats,
     delay_residual,
-    duality_lhs,
     duality_lhs_grid,
     fixation_stats,
     integrate,
@@ -69,16 +68,16 @@ def test_duality_lhs_at_zero_and_at_one():
     grid = duality_lhs_grid(P11, 0.4, 0.8, [(1, 0), (2, 1)], [0.0], 100, seed=2)
     assert grid[(1, 0, 0.0)] == (0.4, 0.0)
     assert grid[(2, 1, 0.0)] == (pytest.approx(0.4**2 * 0.8), 0.0)
-    mean, se = duality_lhs(P11, 1.0, 1.0, 2, 2, 0.7, 500, seed=3,
-                           settings=IntegratorSettings(horizon=0.7, dt=1e-3))
+    mean, se = duality_lhs_grid(P11, 1.0, 1.0, [(2, 2)], [0.7], 500, seed=3,
+                                settings=IntegratorSettings(horizon=0.7, dt=1e-3))[(2, 2, 0.7)]
     assert mean == 1.0 and se == 0.0
 
 
 def test_duality_two_state_closed_form():
     t = math.log(2) / 2
     want = 0.75 * 0.4 + 0.25 * 0.8
-    mean, se = duality_lhs(P11, 0.4, 0.8, 1, 0, t, 20_000, seed=4,
-                           settings=IntegratorSettings(horizon=t, dt=1e-3))
+    mean, se = duality_lhs_grid(P11, 0.4, 0.8, [(1, 0)], [t], 20_000, seed=4,
+                                settings=IntegratorSettings(horizon=t, dt=1e-3))[(1, 0, t)]
     assert abs(mean - want) <= 3 * se + 0.005
 
 
@@ -104,6 +103,18 @@ def test_martingale_interior():
                             settings=IntegratorSettings(horizon=5.0, dt=1e-3))
     for _, mn, se in rows:
         assert abs(mn - 1.0) <= 3.5 * se
+
+
+def test_experiments_run_to_their_own_horizon():
+    st = IntegratorSettings(horizon=1.0, dt=2e-3)
+    rows = martingale_drift(P11, (0.3, 0.7), 2.0, [1.0, 2.0], 50, seed=9, settings=st)
+    assert [t for t, _, _ in rows] == [1.0, 2.0]
+    out = boundary_hitting_stats(P11, (0.05, 0.05), 2.0, 50, seed=9, settings=st)
+    assert out == boundary_hitting_stats(P11, (0.05, 0.05), 2.0, 50, seed=9,
+                                         settings=IntegratorSettings(horizon=2.0, dt=2e-3))
+    fs = fixation_stats(P11, (0.1, 0.1), 10.0, 50, seed=9, settings=st, corner_tol=0.05)
+    assert fs == fixation_stats(P11, (0.1, 0.1), 10.0, 50, seed=9, corner_tol=0.05,
+                                settings=IntegratorSettings(horizon=10.0, dt=2e-3))
 
 
 def test_martingale_rejects_mutation():
