@@ -36,6 +36,7 @@ from .blockcount import (
 from .coalescent import simulate_coalescent
 from .config import ExperimentConfig
 from .diffusion import (
+    DUALITY_EXPONENTS,
     DiffusionState,
     IntegratorSettings,
     boundary_hitting_stats,
@@ -60,7 +61,6 @@ from .streams import mean_stderr, substream
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
 
-_GRID_EXPONENTS = tuple((n, m) for n in range(3) for m in range(3) if n + m > 0)
 _GRID_STARTS = tuple((x, y) for x in (0.2, 0.8) for y in (0.2, 0.8))
 _GRID_TIMES = (0.1, 0.5, 2.0)
 
@@ -123,10 +123,10 @@ def _duality_grid_check(params, reps_lhs, rhs_mc_reps, seed, tol_extra):
     settings = IntegratorSettings(horizon=max(_GRID_TIMES), dt=1e-3)
     for i, (x, y) in enumerate(_GRID_STARTS):
         lhs = duality_lhs_grid(
-            params, x, y, _GRID_EXPONENTS, list(_GRID_TIMES), reps_lhs,
+            params, x, y, DUALITY_EXPONENTS, list(_GRID_TIMES), reps_lhs,
             seed=substream(seed, 9, 30, i), settings=settings,
         )
-        for n, m in _GRID_EXPONENTS:
+        for n, m in DUALITY_EXPONENTS:
             for k, t in enumerate(_GRID_TIMES):
                 mean, se = lhs[(n, m, t)]
                 if rhs_mc_reps is None:

@@ -35,7 +35,7 @@ from .blockcount import (
 )
 from .coalescent import branch_lengths, simulate_coalescent, tmrca
 from .config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config, serialize_config
-from .diffusion import IntegratorSettings, duality_lhs_grid, integrate
+from .diffusion import DUALITY_EXPONENTS, IntegratorSettings, duality_lhs_grid, integrate
 from .forward_wf import WFConfig, run_trajectory, wf_ensemble
 from .mutation_stats import (
     drop_mutations,
@@ -62,10 +62,6 @@ _DOMAIN = {
     "stats": 8,
     "acceptance": 9,
 }
-
-_DUALITY_EXPONENTS = tuple(
-    (n, m) for n in range(3) for m in range(3) if n + m > 0
-)
 
 
 def _fmt(v) -> str:
@@ -223,19 +219,13 @@ def _duality_task(args) -> list[tuple]:
     dom = _DOMAIN["duality"]
     times = [float(t) for t in cfg.times]
     # the duality run integrates exactly to its largest requested time
-    settings = IntegratorSettings(
-        horizon=max(times),
-        dt=cfg.dt,
-        jump_cutoff=cfg.jump_cutoff,
-        boundary_tol=cfg.boundary_tol,
-        noise_model=cfg.noise_model,
-    )
+    settings = dataclasses.replace(_settings(cfg), horizon=max(times))
     lhs = duality_lhs_grid(
-        cfg.model, x, y, _DUALITY_EXPONENTS, times, cfg.reps,
+        cfg.model, x, y, DUALITY_EXPONENTS, times, cfg.reps,
         seed=substream(cfg.seed, dom, task_idx, 0), settings=settings,
     )
     rows = []
-    for n, m in _DUALITY_EXPONENTS:
+    for n, m in DUALITY_EXPONENTS:
         for t in times:
             mean, se = lhs[(n, m, t)]
             rhs, _ = duality_rhs(n, m, x, y, cfg.model, t)

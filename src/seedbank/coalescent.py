@@ -14,8 +14,8 @@ configuration plus a timestamped event log that can be replayed, validated,
 integrated for branch lengths, serialized to line-delimited JSON, and
 exported to Newick once the most recent common ancestor has been reached.
 One validated walk of the log (``Genealogy._walk``) is the only code that
-applies events to blocks; replay, Newick export, branch lengths and mark
-segments all consume it, so each rejects a corrupt log the same way.
+applies events to blocks; replay, Newick export, TMRCA, branch lengths and
+mark segments all consume it, so each rejects a corrupt log the same way.
 """
 
 from __future__ import annotations
@@ -309,13 +309,11 @@ def simulate_coalescent(
 
 
 def tmrca(g: Genealogy) -> Optional[float]:
-    """Time of the most recent common ancestor, or None if the run stopped early."""
+    """Time of the last merge (0.0 for a sample of one), or None if the run stopped early."""
     if not g.reached_mrca:
         return None
-    for ev in reversed(g.events):
-        if ev.kind == MERGE:
-            return ev.time
-    return 0.0  # sample of size one
+    # the walk checks that times increase, so the largest merge time is the last
+    return max((ev.time for ev, _ in g._walk({}) if ev.kind == MERGE), default=0.0)
 
 
 def branch_lengths(g: Genealogy) -> tuple[float, float]:

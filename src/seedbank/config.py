@@ -32,6 +32,7 @@ header.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .measures import ModelParams, SwitchingMeasure
@@ -277,6 +278,21 @@ def _range_errors(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         ("generations", cfg.generations >= 0, f"generations must be >= 0, got {cfg.generations}"),
         ("record_every", cfg.record_every >= 1, f"record_every must be >= 1, got {cfg.record_every}"),
         ("t_probe", cfg.t_probe > 0, f"t_probe must be positive, got {cfg.t_probe}"),
+        (
+            "times",
+            all(0.0 <= t < math.inf for t in cfg.times) and any(t > 0.0 for t in cfg.times),
+            f"times must be finite and >= 0 with a positive largest entry, got {list(cfg.times)}",
+        ),
+        *(
+            (key, bool(v) and all(0.0 <= f <= 1.0 for f in v),
+             f"{key} must be a nonempty list of entries in [0, 1], got {list(v)}")
+            for key, v in (("xs", cfg.xs), ("ys", cfg.ys))
+        ),
+        (
+            "n_list",
+            bool(cfg.n_list) and all(n >= 1 for n in cfg.n_list),
+            f"n_list must be a nonempty list of entries >= 1, got {list(cfg.n_list)}",
+        ),
     )
     return [(key, msg) for key, ok, msg in checks if not ok]
 

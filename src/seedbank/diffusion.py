@@ -20,10 +20,10 @@ dt-refinement so that discretization-induced hits are visible.
 A scalar integrator produces full :class:`Trajectory` records (used by the
 delay-representation check); a vectorized batch engine drives the Monte
 Carlo experiments (duality, martingale, fixation, boundary hitting).  Both
-read one set of drift coefficients and one jump schedule, and both move a
-path through its jumps with one interleave.  There is one scalar Euler step,
-shared by ``integrate`` and the batch engine's jump lanes, and one
-vectorized step for the batch engine's clean lanes.
+read one set of drift coefficients and one jump schedule and land a step on
+each jump.  There is one scalar Euler step for ``integrate`` and one
+vectorized step for every batch lane; the batch engine advances a window's
+jumps in rounds, one jump per lane and round.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _drift_coefficients(params: ModelParams, eps: float):
 
 
 def _euler_scalar(x, y, h, coeffs, noise, binomial, rng):
-    """One Euler step of length h from (x, y), clamped to the unit square."""
+    """``integrate``'s Euler step of length h from (x, y), clamped to the unit square."""
     u1, u2, u1p, u2p, pull_f, pull_d = coeffs
     xn = x + (-u1 * x + u2 * (1.0 - x) + pull_f * (y - x)) * h
     if noise:
@@ -240,8 +240,27 @@ def _euler_scalar(x, y, h, coeffs, noise, binomial, rng):
     return min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0)
 
 
+def _euler_batch(x, y, lanes, h, coeffs, binomial, rng):
+    """Every batch lane's Euler step: moves ``lanes`` of x and y in place by h.
+
+    h is one float or one per lane; the binomial model resamples a lane from
+    max(rint(1/h), 1) individuals.  Lane by lane this is :func:`_euler_scalar`.
+    """
+    u1, u2, u1p, u2p, pull_f, pull_d = coeffs
+    xl, yl = x[lanes], y[lanes]
+    xn = xl + (-u1 * xl + u2 * (1.0 - xl) + pull_f * (yl - xl)) * h
+    if binomial:
+        n_eff = np.maximum(np.rint(1.0 / h), 1.0).astype(np.int64)
+        xn = rng.binomial(n_eff, np.clip(xn, 0.0, 1.0)) / n_eff
+    else:
+        xn = xn + np.sqrt(np.maximum(xl * (1.0 - xl), 0.0)) * np.sqrt(h) * rng.standard_normal(xl.size)
+    yn = yl + (-u1p * yl + u2p * (1.0 - yl) + pull_d * (xl - yl)) * h
+    x[lanes] = np.clip(xn, 0.0, 1.0)
+    y[lanes] = np.clip(yn, 0.0, 1.0)
+
+
 def _advance(x, y, t_from, t_to, events, step):
-    """Move one path from t_from to t_to through its jumps.
+    """Move one ``integrate`` path from t_from to t_to through its jumps.
 
     ``events`` holds (t, is_f, z) in time order with t <= t_to.  The Euler
     ``step(x, y, h)`` is shortened to land on each jump time, the jump is
@@ -300,6 +319,11 @@ def _knots(horizon: float, dt: float, extra: Sequence[float]):
         if is_snap:
             snap_map.setdefault(len(times) - 1, []).append(t)
     return times, snap_map
+
+
+def _near_corners(x, y, tol):
+    """Whether (x, y) lies within sup-norm distance tol of (0, 0) and of (1, 1)."""
+    return np.maximum(x, y) <= tol, np.minimum(x, y) >= 1.0 - tol
 
 
 def _corner_absorbing(params: ModelParams) -> tuple[bool, bool]:
@@ -374,9 +398,7 @@ def integrate(
             rec_y.append(y)
         t_prev = t_cur
 
-    tol = settings.boundary_tol
-    hit_00 = max(x, y) <= tol
-    hit_11 = min(x, y) >= 1.0 - tol
+    hit_00, hit_11 = map(bool, _near_corners(x, y, settings.boundary_tol))
     return Trajectory(
         times=np.array(rec_t),
         x=np.array(rec_x),
@@ -454,23 +476,21 @@ def batch_paths(
 ) -> BatchResult:
     """Integrate ``reps`` independent paths in lockstep.
 
-    The grid step is vectorized across lanes; lanes with a jump inside the
-    current window are re-integrated individually with the window split at
-    their exact jump times.  With ``freeze_corner_tol`` set, lanes within
-    that sup-norm distance of an absorbing corner are snapped onto it and
-    frozen (the corner is an exact fixed point, so only the snap distance is
-    an approximation).  Deterministic given the seed.
+    Every lane moves by the one vectorized Euler step.  A window between two
+    knots advances in rounds: round r takes each lane whose r-th jump in the
+    window is pending, steps it from its own clock to that jump time and
+    applies the jump; then every live lane steps to the knot.  A window
+    without jumps is one step of all live lanes.  With ``freeze_corner_tol``
+    set, lanes within that sup-norm distance of an absorbing corner are
+    snapped onto it and frozen (the corner is an exact fixed point, so only
+    the snap distance is an approximation).  Deterministic given the seed.
     """
     rng = as_rng(seed)
     eps = settings.jump_cutoff
     ev_t, ev_lane, ev_z, ev_isf = _schedule(params, eps, settings.horizon, reps, rng)
     coeffs = _drift_coefficients(params, eps)
-    u1, u2, u1p, u2p, pull_f, pull_d = coeffs
     binomial = settings.noise_model == "binomial"
-    abs00, abs11 = _corner_absorbing(params)
-
-    def step(xl, yl, h):
-        return _euler_scalar(xl, yl, h, coeffs, True, binomial, rng)
+    absorbing = _corner_absorbing(params)
 
     x = np.full(reps, float(x0))
     y = np.full(reps, float(y0))
@@ -491,75 +511,52 @@ def batch_paths(
         hits["y0"][idx] |= y[idx] == 0.0
         hits["y1"][idx] |= y[idx] == 1.0
 
-    def freeze(idx):
-        if freeze_corner_tol is None or idx.size == 0:
+    def freeze(idx, t):
+        if freeze_corner_tol is None:
             return
-        tol = freeze_corner_tol
-        if abs00:
-            at00 = (x[idx] <= tol) & (y[idx] <= tol)
-            sel = idx[at00]
-            x[sel] = 0.0
-            y[sel] = 0.0
-            frozen_at[sel] = np.where(np.isnan(frozen_at[sel]), t_cur, frozen_at[sel])
-            active[sel] = False
-        if abs11:
-            at11 = (x[idx] >= 1.0 - tol) & (y[idx] >= 1.0 - tol)
-            sel = idx[at11]
-            x[sel] = 1.0
-            y[sel] = 1.0
-            frozen_at[sel] = np.where(np.isnan(frozen_at[sel]), t_cur, frozen_at[sel])
-            active[sel] = False
+        for corner in (0, 1):
+            if absorbing[corner]:
+                sel = idx[_near_corners(x[idx], y[idx], freeze_corner_tol)[corner]]
+                x[sel] = y[sel] = corner
+                frozen_at[sel] = t
+                active[sel] = False
 
     record_hits(np.arange(reps))
-    t_cur = 0.0
-    freeze(np.flatnonzero(active))
+    freeze(np.flatnonzero(active), 0.0)
 
     times, snap_map = _knots(settings.horizon, settings.dt, snapshot_times)
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
     ev_pos = 0
     t_prev = 0.0
     for knot_i, t_cur in enumerate(times):
-        h = t_cur - t_prev
-        if h > 0.0 and active.any():
+        if t_cur > t_prev and active.any():
             ev_end = int(np.searchsorted(ev_t, t_cur, side="right"))
-            window = slice(ev_pos, ev_end)
+            # the window's jumps on live lanes, in time order
+            pending = ev_pos + np.flatnonzero(active[ev_lane[ev_pos:ev_end]])
             ev_pos = ev_end
-            w_lanes = ev_lane[window]
-            if w_lanes.size:
-                jump_set = np.unique(w_lanes)
-                jump_set = jump_set[active[jump_set]]
-            else:
-                jump_set = np.empty(0, dtype=np.int64)
+            n_f = int(np.count_nonzero(ev_isf[pending]))
+            jump_counts[F_TYPE] += n_f
+            jump_counts[D_TYPE] += pending.size - n_f
             idx = np.flatnonzero(active)
-            if jump_set.size:
-                clean = idx[~np.isin(idx, jump_set)]
-            else:
-                clean = idx
-            if clean.size:
-                xc, yc = x[clean], y[clean]
-                xn = xc + (-u1 * xc + u2 * (1.0 - xc) + pull_f * (yc - xc)) * h
-                if binomial:
-                    n_eff = max(int(round(1.0 / h)), 1)
-                    xn = rng.binomial(n_eff, np.clip(xn, 0.0, 1.0)) / n_eff
-                else:
-                    scale = np.sqrt(np.maximum(xc * (1.0 - xc), 0.0)) * math.sqrt(h)
-                    xn = xn + scale * rng.standard_normal(clean.size)
-                yn = yc + (-u1p * yc + u2p * (1.0 - yc) + pull_d * (xc - yc)) * h
-                x[clean] = np.clip(xn, 0.0, 1.0)
-                y[clean] = np.clip(yn, 0.0, 1.0)
-                record_hits(clean)
-            if jump_set.size:
-                w_t, w_isf, w_z = ev_t[window], ev_isf[window], ev_z[window]
-                for lane in jump_set.tolist():
-                    sel = w_lanes == lane
-                    events = list(zip(w_t[sel].tolist(), w_isf[sel].tolist(), w_z[sel].tolist()))
-                    x[lane], y[lane] = _advance(
-                        float(x[lane]), float(y[lane]), t_prev, t_cur, events, step
-                    )
-                    for _, is_f, _ in events:
-                        jump_counts[F_TYPE if is_f else D_TYPE] += 1
-                record_hits(jump_set)
-            freeze(idx)
+            move, h = idx, t_cur - t_prev
+            if pending.size:
+                clock = np.full(reps, t_prev)
+                while pending.size:
+                    # the earliest pending jump of each lane that has one
+                    _, first = np.unique(ev_lane[pending], return_index=True)
+                    ev, pending = pending[first], np.delete(pending, first)
+                    lane, t = ev_lane[ev], ev_t[ev]
+                    h = t - clock[lane]
+                    _euler_batch(x, y, lane[h > 0.0], h[h > 0.0], coeffs, binomial, rng)
+                    clock[lane] = t
+                    xl, yl, z, is_f = x[lane], y[lane], ev_z[ev], ev_isf[ev]
+                    x[lane] = np.where(is_f, np.clip(xl + z * (yl - xl), 0.0, 1.0), xl)
+                    y[lane] = np.where(is_f, yl, np.clip(yl + z * (xl - yl), 0.0, 1.0))
+                h = t_cur - clock[idx]
+                move, h = idx[h > 0.0], h[h > 0.0]
+            _euler_batch(x, y, move, h, coeffs, binomial, rng)
+            record_hits(idx)
+            freeze(idx, t_cur)
         if knot_i in snap_map:
             for s in snap_map[knot_i]:
                 snapshots.append((s, x.copy(), y.copy()))
@@ -592,6 +589,10 @@ def _run_settings(settings: Optional[IntegratorSettings], T: float) -> Integrato
     if settings is None:
         return IntegratorSettings(horizon=T, dt=1e-3)
     return replace(settings, horizon=T)
+
+
+# the moment exponents (n, m) of the duality grid: n, m <= 2, n + m >= 1
+DUALITY_EXPONENTS = tuple((n, m) for n in range(3) for m in range(3) if n + m > 0)
 
 
 def duality_lhs_grid(
@@ -725,8 +726,7 @@ def fixation_stats(
         raise ValueError("fixation statistics need zero mutation rates")
     settings = _run_settings(settings, T)
     res = batch_paths(params, x0, y0, settings, reps, seed, freeze_corner_tol=corner_tol)
-    at11 = (res.final_x >= 1.0 - corner_tol) & (res.final_y >= 1.0 - corner_tol)
-    at00 = (res.final_x <= corner_tol) & (res.final_y <= corner_tol)
+    at00, at11 = _near_corners(res.final_x, res.final_y, corner_tol)
     fixed_11 = int(at11.sum())
     fixed_00 = int(at00.sum())
     return FixationStats(

@@ -253,7 +253,7 @@ def test_replay_rejects_corrupt_logs():
     for name, (n, m, events, end_time, reached) in CORRUPT_LOGS.items():
         g = Genealogy(n_active=n, m_dormant=m, end_time=end_time, reached_mrca=reached,
                       events=[GenealogyEvent(*ev) for ev in events])
-        consumers = [lambda: list(g.replay()), lambda: branch_lengths(g),
+        consumers = [lambda: list(g.replay()), lambda: branch_lengths(g), lambda: tmrca(g),
                      lambda: mark_segments(g), lambda: drop_mutations(g, 1.0, 1.0, seed=0)]
         if reached:
             consumers.append(g.to_newick)

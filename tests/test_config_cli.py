@@ -93,10 +93,32 @@ def test_range_error_names_key_and_line():
             "[experiment]\nkind = coming-down-scan\nt_probe = 0\n",
             [(3, "t_probe must be positive, got 0.0")],
         ),
+        *(
+            (
+                f"[experiment]\nkind = duality\ntimes = {raw}\n",
+                [(3, f"times must be finite and >= 0 with a positive largest entry, got {got}")],
+            )
+            for raw, got in (("-1.0 0.5", "[-1.0, 0.5]"), ("0.0", "[0.0]"), ("", "[]"))
+        ),
+        *(
+            (
+                f"[experiment]\nkind = duality\n\n{key} = {raw}\n",
+                [(4, f"{key} must be a nonempty list of entries in [0, 1], got {got}")],
+            )
+            for key, raw, got in (("xs", "1.5", "[1.5]"), ("ys", "0.2 -0.1", "[0.2, -0.1]"), ("xs", "", "[]"))
+        ),
+        *(
+            (
+                f"[experiment]\nkind = tmrca-scan\nn_list = {raw}\n",
+                [(3, f"n_list must be a nonempty list of entries >= 1, got {got}")],
+            )
+            for raw, got in (("0 10", "[0, 10]"), ("", "[]"))
+        ),
     ):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.errors == want
+    assert parse_config("[experiment]\ntimes = 0.0 0.5\n").times == (0.0, 0.5)
 
 
 def test_out_must_survive_the_text_format():

@@ -10,6 +10,7 @@ from seedbank.diffusion import (
     IntegratorSettings,
     Trajectory,
     _beta_clock,
+    _knots,
     _schedule,
     batch_paths,
     boundary_hitting_stats,
@@ -236,11 +237,29 @@ def test_beta_jump_sizes_follow_the_exact_law(a, b, eps):
     assert scistats.kstest(z, lambda v: 1.0 - tail(v) / tail(eps)).pvalue > 0.001
 
 
-def test_beta_duality_against_exact_rhs():
-    p = ModelParams(c=1.0, K=1.0,
-                    lambda_ad=SwitchingMeasure(beta_components=((0.3, 0.4, 0.5),)),
-                    lambda_da=SwitchingMeasure(beta_components=((2.0, 2.0, 0.5),)))
-    st = IntegratorSettings(horizon=1.0, dt=1e-3, jump_cutoff=0.05)
+def _multi_jump_share(p, st, reps, seed):
+    """Share of the (lane, window) pairs holding a jump that hold two or more.
+
+    Reads the schedule that a batch run seeded with ``seed`` draws first.
+    """
+    t, lane, _, _ = _schedule(p, st.jump_cutoff, st.horizon, reps, np.random.default_rng(seed))
+    window = np.searchsorted(_knots(st.horizon, st.dt, ())[0], t)
+    _, per_pair = np.unique(window * reps + lane, return_counts=True)
+    return float(np.mean(per_pair >= 2))
+
+
+@pytest.mark.parametrize("p, dt, min_share", [
+    (ModelParams(c=1.0, K=1.0,
+                 lambda_ad=SwitchingMeasure(beta_components=((0.3, 0.4, 0.5),)),
+                 lambda_da=SwitchingMeasure(beta_components=((2.0, 2.0, 0.5),))), 1e-3, 0.0),
+    # 40 jumps per lane and unit time: at dt = 0.02 about a third of the
+    # lane windows that hold a jump hold two or more, one per round
+    (ModelParams(c=1.0, K=1.0, lambda_ad=SwitchingMeasure.atom(0.5, 10.0),
+                 lambda_da=SwitchingMeasure.atom(0.5, 10.0)), 2e-2, 0.2),
+], ids=["beta", "atoms-in-rounds"])
+def test_beta_duality_against_exact_rhs(p, dt, min_share):
+    st = IntegratorSettings(horizon=1.0, dt=dt, jump_cutoff=0.05)
+    assert _multi_jump_share(p, st, 20_000, 23) >= min_share
     grid = duality_lhs_grid(p, 0.2, 0.8, [(1, 0), (0, 1), (1, 1), (2, 0)], [0.5, 1.0],
                             20_000, seed=23, settings=st)
     for (n, m, t), (mean, se) in grid.items():

@@ -237,11 +237,13 @@ configs = st.builds(
     generations=st.integers(0, 10**6),
     exchange_mode=st.sampled_from(["fixed", "binomial"]),
     stop=st.sampled_from(["mrca", "horizon"]),
-    n_list=st.lists(st.integers(-(10**6), 10**6), max_size=4).map(tuple),
+    n_list=st.lists(st.integers(1, 10**6), min_size=1, max_size=4).map(tuple),
     t_probe=finite,
-    times=st.lists(finite, max_size=4).map(tuple),
-    xs=st.lists(finite, max_size=4).map(tuple),
-    ys=st.lists(finite, max_size=4).map(tuple),
+    times=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=4)
+    .filter(lambda ts: max(ts) > 0.0)
+    .map(tuple),
+    xs=st.lists(unit, min_size=1, max_size=4).map(tuple),
+    ys=st.lists(unit, min_size=1, max_size=4).map(tuple),
     reps=st.integers(1, 10**7),
     dt=st.floats(1e-300, 1e300),
     horizon=st.floats(1e-300, 1e300),
