@@ -21,11 +21,19 @@ Every consumer of the chain reads its switching rates from one cached rate
 row per (measure, eligible count, single-line rate), and every scalar
 consumer reads its moves from one category list (``_categories``), so the
 simulators and the oracles cannot drift apart.
+
+The scalar loop pays for its random draws and little else: a move table per
+model (``_move_table``) keeps, for each state of at most ``_CACHED_LINES``
+lines, the positive-rate moves, their running rate sums and the total, and
+one ``bisect`` on the sums picks a move.  The ensemble keeps its live lanes
+in compacted arrays in lane order, builds the running rate sums one category
+at a time and drops lanes only when some stop.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -146,20 +154,64 @@ def _start(s0, params: ModelParams, *, need_mrca: bool) -> BlockCountState:
     return s0
 
 
-def _pick(cats, u: float) -> tuple[str, int, float]:
-    """The first positive-rate category whose running rate sum reaches u.
+class _Moves(NamedTuple):
+    """The positive-rate moves out of one state, as the scalar loop reads them.
 
-    If rounding leaves u above the sum, the last positive-rate category; a
-    zero-rate category is never picked.
+    moves  (kind, lines, (active, dormant) after) per positive-rate category,
+           in ``_categories`` order
+    sums   their running rate sums, added left to right
+    total  the ``math.fsum`` of every rate
     """
-    acc = 0.0
-    for cat in cats:
-        if cat[2] > 0.0:
-            acc += cat[2]
-            pick = cat
-            if u <= acc:
-                break
-    return pick
+
+    moves: list[tuple[str, int, tuple[int, int]]]
+    sums: list[float]
+    total: float
+
+    def pick(self, u: float) -> tuple[str, int, tuple[int, int]]:
+        """The first move whose running rate sum reaches u.
+
+        If rounding leaves u above every sum, the last move; a zero-rate
+        category is never a move.
+        """
+        i = bisect_left(self.sums, u)
+        return self.moves[i] if i < len(self.moves) else self.moves[-1]
+
+
+def _moves(a: int, d: int, params: ModelParams) -> _Moves:
+    cats = _categories(a, d, params)
+    moves, sums, acc = [], [], 0.0
+    for kind, k, r in cats:
+        if r > 0.0:
+            acc += r
+            moves.append((kind, k, _after(a, d, kind, k)))
+            sums.append(acc)
+    return _Moves(moves, sums, math.fsum(r for _, _, r in cats))
+
+
+# a state of a + d lines has up to a + d + 1 moves (about 3,800 for an atom at
+# a = 10^4), so only states of at most this many lines keep their moves
+_CACHED_LINES = 64
+
+
+class _MoveTable(dict):
+    """(active, dormant) -> ``_Moves`` for one model, built on first lookup."""
+
+    def __init__(self, params: ModelParams):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, state: tuple[int, int]) -> _Moves:
+        moves = _moves(*state, self.params)
+        if sum(state) <= _CACHED_LINES:
+            self[state] = moves
+        return moves
+
+
+# one lookup per run, so the model is hashed once per run, not per event; a
+# full table holds about 2,100 states and at most a few MB
+@lru_cache(maxsize=8)
+def _move_table(params: ModelParams) -> _MoveTable:
+    return _MoveTable(params)
 
 
 def _jumps(s0: BlockCountState, params: ModelParams, rng, *, horizon, stop_at_total_one: bool):
@@ -172,12 +224,13 @@ def _jumps(s0: BlockCountState, params: ModelParams, rng, *, horizon, stop_at_to
     horizon.  Raises ValueError when the clock cannot advance or past
     MAX_EVENTS events.
     """
+    table = _move_table(params)
     a, d = s0
     t = 0.0
     events = 0
     while not (stop_at_total_one and a + d <= 1):
-        cats = _categories(a, d, params)
-        total = math.fsum(r for _, _, r in cats)
+        moves = table[a, d]
+        total = moves.total
         if total <= 0.0:
             return  # nothing can happen anymore
         t_next = t + rng.exponential(1.0 / total)
@@ -190,9 +243,9 @@ def _jumps(s0: BlockCountState, params: ModelParams, rng, *, horizon, stop_at_to
         if events > MAX_EVENTS:
             raise ValueError(f"stopped at the event budget of {MAX_EVENTS} events "
                              "(blockcount.MAX_EVENTS); pass a horizon to bound the run")
-        kind, k, _ = _pick(cats, rng.uniform(0.0, total))
+        # rng.random() * total is the double rng.uniform(0.0, total) draws, at a third of its cost
+        kind, k, counts = moves.pick(rng.random() * total)
         t = t_next
-        counts = _after(a, d, kind, k)
         a, d = counts
         yield t, kind, k, counts
 
@@ -263,13 +316,11 @@ def blockcount_ensemble(
     rng = as_rng(seed)
     n = np.full(reps, s0.n, dtype=np.int64)
     m = np.full(reps, s0.m, dtype=np.int64)
-    t = np.zeros(reps)
     absorbed_at = np.full(reps, np.nan)
     if s0.n + s0.m == 1:
         absorbed_at[:] = 0.0
         if stop_at_total_one:
             return EnsembleResult(n=n, m=m, absorption_time=absorbed_at)
-    alive = np.ones(reps, dtype=bool)
 
     # (to_dormant, ...) per clock; the Beta columns come after every atom
     # column, so the random draws of an atom-only model do not depend on them
@@ -277,92 +328,84 @@ def blockcount_ensemble(
     atoms += [(False, z, w / z) for z, w in params.lambda_da.atoms]
     betas = [(True, a, b, w) for a, b, w in params.lambda_ad.beta_components]
     betas += [(False, a, b, w) for a, b, w in params.lambda_da.beta_components]
-    # category order: merge, single deact, single act, atom clocks, Beta clocks
-    ncat = 3 + len(atoms) + len(betas)
     c, K = params.c, params.K
 
-    def flip(lanes, k, to_dormant):
+    # the live lanes in lane order: ids, counts and clocks; a lane leaves
+    # these arrays, its counts going back to n and m, only when it stops
+    lane = np.arange(reps)
+    na, ma = n.copy(), m.copy()
+    t = np.zeros(reps)
+
+    def stop(stopped):
+        nonlocal lane, na, ma, t
+        n[lane[stopped]] = na[stopped]
+        m[lane[stopped]] = ma[stopped]
+        keep = ~stopped
+        lane, na, ma, t = lane[keep], na[keep], ma[keep], t[keep]
+        return keep
+
+    def flip(sel, k, to_dormant):
         if to_dormant:
-            n[lanes] -= k
-            m[lanes] += k
+            na[sel] -= k
+            ma[sel] += k
         else:
-            n[lanes] += k
-            m[lanes] -= k
+            na[sel] += k
+            ma[sel] -= k
 
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        na, ma = n[idx], m[idx]
-        rates = np.empty((idx.size, ncat))
-        rates[:, 0] = na * (na - 1) / 2.0
-        rates[:, 1] = c * na
-        rates[:, 2] = c * K * ma
-        col = 3
-        for _, _, rate in atoms:
-            rates[:, col] = rate
-            col += 1
-        for to_dormant, _, _, w in betas:
-            rates[:, col] = w * (na if to_dormant else ma)
-            col += 1
-        total = rates.sum(axis=1)
+    while lane.size:
+        # running rate sums over the categories (merge, single deactivation,
+        # single activation, atom clocks, Beta clocks), added left to right;
+        # the last one is the total rate
+        sums = [na * (na - 1) / 2.0]
+        for rate in (c * na, c * K * ma, *(r for _, _, r in atoms),
+                     *(w * (na if to_dormant else ma) for to_dormant, _, _, w in betas)):
+            sums.append(sums[-1] + rate)
 
-        stuck = total <= 0.0
-        if stuck.any():
-            alive[idx[stuck]] = False
-            keep = ~stuck
-            idx, rates, total = idx[keep], rates[keep], total[keep]
-            if idx.size == 0:
-                continue
+        stuck = sums[-1] <= 0.0
+        if np.count_nonzero(stuck):
+            keep = stop(stuck)
+            sums = [s[keep] for s in sums]
 
-        t_next = t[idx] + rng.exponential(1.0 / total)
+        # the draws of rng.exponential(1.0 / total), without its argument checks
+        t_next = t + rng.standard_exponential(lane.size) * (1.0 / sums[-1])
         if horizon is not None:
             crossed = t_next > horizon
-            if crossed.any():
-                alive[idx[crossed]] = False
-                keep = ~crossed
-                idx, rates, total, t_next = idx[keep], rates[keep], total[keep], t_next[keep]
-                if idx.size == 0:
-                    continue
-        t[idx] = t_next
+            if np.count_nonzero(crossed):
+                keep = stop(crossed)
+                sums, t_next = [s[keep] for s in sums], t_next[keep]
+        t = t_next
 
-        u = rng.random(idx.size) * total
-        cat = (u[:, None] >= np.cumsum(rates, axis=1)).sum(axis=1)
-        cat = np.minimum(cat, ncat - 1)
+        # a lane takes the first category whose running sum exceeds u; the
+        # sums never decrease, so each mask of lanes below a sum holds the one
+        # before it, and a zero-rate category (its sum equals the one before)
+        # is never taken
+        u = rng.random(lane.size) * sums[-1]
+        below = [u < s for s in sums[:-1]]
+        taken = [below[0], *(b ^ a for a, b in zip(below, below[1:])), ~below[-1]]
+        merged, deactivated, activated, *clocks = taken
+        na -= merged
+        na -= deactivated
+        ma += deactivated
+        na += activated
+        ma -= activated
+        for (to_dormant, z, _), sel in zip(atoms, clocks):
+            if np.count_nonzero(sel):
+                flip(sel, rng.binomial(na[sel] if to_dormant else ma[sel], z), to_dormant)
+        for (to_dormant, a, b, _), sel in zip(betas, clocks[len(atoms):]):
+            if np.count_nonzero(sel):
+                count = na[sel] if to_dormant else ma[sel]
+                z = rng.beta(a, b, size=count.size)
+                k = 1 + rng.binomial(count - 1, z)
+                k[rng.random(count.size) * k >= 1.0] = 0  # accept with probability 1/k
+                flip(sel, k, to_dormant)
 
-        sel = cat == 0
-        if sel.any():
-            n[idx[sel]] -= 1
-        sel = cat == 1
-        if sel.any():
-            flip(idx[sel], 1, True)
-        sel = cat == 2
-        if sel.any():
-            flip(idx[sel], 1, False)
-        col = 3
-        for to_dormant, z, _ in atoms:
-            sel = cat == col
-            if sel.any():
-                lanes = idx[sel]
-                flip(lanes, rng.binomial(n[lanes] if to_dormant else m[lanes], z), to_dormant)
-            col += 1
-        for to_dormant, a, b, _ in betas:
-            sel = cat == col
-            if sel.any():
-                lanes = idx[sel]
-                count = n[lanes] if to_dormant else m[lanes]
-                z = rng.beta(a, b, size=lanes.size)
-                k = 1 + rng.binomial(np.maximum(count - 1, 0), z)
-                k[rng.random(lanes.size) * k >= 1.0] = 0  # accept with probability 1/k
-                # the category clamp can pick an empty column by rounding; it flips nothing
-                flip(lanes, np.minimum(k, count), to_dormant)
-            col += 1
-
-        at_one = (n[idx] + m[idx]) == 1
-        if at_one.any():
-            hit = idx[at_one]
+        at_one = na + ma == 1
+        if np.count_nonzero(at_one):
+            hit = lane[at_one]
             fresh = np.isnan(absorbed_at[hit])
-            absorbed_at[hit[fresh]] = t[hit[fresh]]
+            absorbed_at[hit[fresh]] = t[at_one][fresh]
             if stop_at_total_one:
-                alive[hit] = False
+                stop(at_one)
 
     return EnsembleResult(n=n, m=m, absorption_time=absorbed_at)
 

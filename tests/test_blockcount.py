@@ -11,7 +11,8 @@ from seedbank.blockcount import (
     TO_DORMANT,
     BlockCountState,
     _categories,
-    _pick,
+    _move_table,
+    _moves,
     _reachable_states,
     bc_transition_rates,
     blockcount_ensemble,
@@ -62,20 +63,31 @@ def test_pick_never_returns_a_zero_rate_category():
     # u = 0.0 with a leading zero-rate merge (one active line)
     cats = _categories(1, 2, P11)
     assert cats[0] == (MERGE, 2, 0.0)
-    assert _pick(cats, 0.0) == (TO_DORMANT, 1, 1.0)
+    moves = _moves(1, 2, P11)
+    assert moves.pick(0.0) == (TO_DORMANT, 1, (0, 3))
     # u past the left-to-right running sum with a trailing zero-rate category
     assert cats[-1] == (TO_ACTIVE, 2, 0.0)
     acc = 0.0
     for _, _, r in cats:
         acc += r
-    assert _pick(cats, math.nextafter(acc, math.inf)) == (TO_ACTIVE, 1, 2.0)
+    assert moves.pick(math.nextafter(acc, math.inf)) == (TO_ACTIVE, 1, (2, 1))
+
+
+def test_move_table_keeps_only_small_states():
+    p = ModelParams(c=1.0, K=1.0, lambda_ad=ATOM)
+    table = _move_table(p)
+    assert _move_table(ModelParams(c=1.0, K=1.0, lambda_ad=ATOM)) is table
+    small = (blockcount._CACHED_LINES - 1, 1)
+    large = (blockcount._CACHED_LINES, 1)
+    assert table[small] is table[small]
+    assert table[large] == _moves(*large, p) and large not in table
 
 
 class _ZeroUniform(np.random.Generator):
     """A generator whose category draw is always the lower end, u = 0.0."""
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return low
+    def random(self, *args, **kwargs):
+        return 0.0
 
 
 def test_simulators_skip_a_zero_rate_merge_at_u_zero():
@@ -193,6 +205,13 @@ BETA_MODELS = [
         K=1.0,
         lambda_ad=SwitchingMeasure(beta_components=((0.5, 2.0, 0.8),)),
         lambda_da=SwitchingMeasure(beta_components=((0.3, 0.7, 1.0),)),
+    ),
+    # five components: eight rate categories, where numpy's row sum turns pairwise
+    ModelParams(
+        c=1.0,
+        K=2.0,
+        lambda_ad=SwitchingMeasure(atoms=((0.5, 0.4), (0.2, 0.3)), beta_components=((2.0, 2.0, 0.6),)),
+        lambda_da=SwitchingMeasure(atoms=((0.3, 0.5),), beta_components=((1.5, 3.0, 0.4),)),
     ),
 ]
 

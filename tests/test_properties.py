@@ -1,8 +1,9 @@
 """Invariants over random finite measures: switching rates, the block-count
-generator, simulated genealogies and their log, the agreement of the scalar
+generator and move table, simulated genealogies and their log, the agreement of the scalar
 and batch diffusion integrators and of the scalar and vectorised Wright-Fisher
 loops, and the config round trip."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 
 from seedbank.blockcount import (
     BlockCountState,
+    _after,
+    _categories,
     _generator,
+    _move_table,
     bc_transition_rates,
     duality_rhs,
     mrca_reachable,
@@ -85,6 +89,39 @@ def test_generator_rows_are_conservative(params, s0):
     assert (off >= 0.0).all()
     scale = np.abs(dense).sum(axis=1)
     assert np.all(np.abs(dense.sum(axis=1)) <= 1e-12 * np.maximum(scale, 1.0))
+
+
+def _pick_by_running_sum(cats, u):
+    """The first positive-rate category whose left-to-right running sum
+    reaches u; the last positive-rate one if u is above every sum."""
+    acc, pick = 0.0, None
+    for kind, k, r in cats:
+        if r > 0.0:
+            acc += r
+            pick = (kind, k)
+            if u <= acc:
+                break
+    return pick
+
+
+@settings(max_examples=80, deadline=None)
+@given(models, st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda s: sum(s) >= 1), unit)
+def test_move_table_pick_is_the_running_sum_rule(params, s, fraction):
+    a, d = s
+    cats = _categories(a, d, params)
+    moves = _move_table(params)[a, d]
+    positive = [(kind, k, r) for kind, k, r in cats if r > 0.0]
+    sums = list(itertools.accumulate(r for _, _, r in positive))
+    total = math.fsum(r for _, _, r in cats)
+    assert moves == ([(kind, k, _after(a, d, kind, k)) for kind, k, _ in positive], sums, total)
+    assume(positive)
+    probes = [0.0, total, math.nextafter(total, math.inf), total * (1.0 + 1e-9), fraction * total]
+    for acc in sums:
+        probes += [acc, math.nextafter(acc, 0.0), math.nextafter(acc, math.inf)]
+    for u in probes:
+        kind, k, after = moves.pick(u)
+        assert (kind, k) == _pick_by_running_sum(cats, u)
+        assert after == _after(a, d, kind, k)
 
 
 @settings(max_examples=40, deadline=None)
