@@ -268,6 +268,24 @@ def partition_transition_rates(state: MarkedPartition, params: ModelParams) -> d
     }
 
 
+def _uniform_pair(pool: list[int], rng) -> tuple[int, int]:
+    """Two distinct entries of pool, each ordered pair equally likely, from one draw."""
+    size = len(pool)
+    i, j = divmod(int(rng.integers(size * (size - 1))), size - 1)
+    return pool[i], pool[j + (j >= i)]
+
+
+def _uniform_subset(pool: list[int], k: int, rng) -> list[int]:
+    """k distinct entries of pool, each k-subset equally likely: the first k
+    steps of a Fisher-Yates shuffle, one draw each."""
+    pool = list(pool)
+    size = len(pool)
+    for r in range(k):
+        s = r + int(rng.integers(size - r))
+        pool[r], pool[s] = pool[s], pool[r]
+    return pool[:k]
+
+
 def simulate_coalescent(
     n: int,
     m: int,
@@ -280,7 +298,8 @@ def simulate_coalescent(
 
     The block-count chain's Gillespie loop gives each event's time, kind and
     number of blocks; the specific pair or j-subset is then drawn uniformly
-    from the same generator.  Stops at the MRCA without drawing further, or
+    from the same generator with ``rng.integers``: one draw per pair, one per
+    block of a subset.  Stops at the MRCA without drawing further, or
     at ``horizon`` if given (the partial genealogy is returned and
     reached_mrca stays False unless the MRCA happened earlier).  Raises
     ValueError past ``blockcount.MAX_EVENTS`` events or when the clock
@@ -294,7 +313,7 @@ def simulate_coalescent(
     t = 0.0
     for t, kind, k, _ in _jumps(s0, params, rng, horizon=horizon, stop_at_total_one=True):
         pool, other = (dormant, active) if kind == TO_ACTIVE else (active, dormant)
-        picked = sorted(pool[int(i)] for i in rng.choice(len(pool), size=k, replace=False))
+        picked = sorted(_uniform_pair(pool, rng) if kind == MERGE else _uniform_subset(pool, k, rng))
         if kind == MERGE:
             active.remove(picked[1])  # the merged block keeps the smaller id
         else:

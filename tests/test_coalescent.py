@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -133,6 +134,23 @@ def test_exchangeability_first_merge_pair():
     assert len(freq) == 6
     stat = ((freq - freq.mean()) ** 2 / freq.mean()).sum()
     assert scistats.chi2.sf(stat, df=5) > 0.001
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exchangeability_first_flip_subset(k):
+    # a heavy atom makes a k-block deactivation a likely first event out of
+    # five active singletons; each of the ten k-subsets is then equally likely
+    p = ModelParams(c=0.5, K=1.0, lambda_ad=SwitchingMeasure.atom(0.5, 40.0))
+    counts = Counter()
+    rng = np.random.default_rng(10 + k)
+    for _ in range(10_000):
+        g = simulate_coalescent(5, 0, p, horizon=0.05, seed=rng)
+        if g.events and g.events[0].kind == "to_dormant" and len(g.events[0].blocks) == k:
+            counts[g.events[0].blocks] += 1
+    freq = np.array([counts[subset] for subset in itertools.combinations(range(1, 6), k)])
+    assert sum(counts.values()) == freq.sum() > 2_000
+    stat = ((freq - freq.mean()) ** 2 / freq.mean()).sum()
+    assert scistats.chi2.sf(stat, df=9) > 0.001
 
 
 def test_projection_consistency():
