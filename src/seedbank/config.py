@@ -255,8 +255,8 @@ def _range_errors(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         ("kind", cfg.experiment in EXPERIMENTS, f"unknown experiment kind {cfg.experiment!r}"),
         ("out", out_ok, f"out must be one line without '#' or surrounding blanks, got {cfg.out!r}"),
         ("reps", cfg.reps >= 1, f"reps must be positive, got {cfg.reps}"),
-        ("dt", cfg.dt > 0, f"dt must be positive, got {cfg.dt}"),
-        ("T", cfg.horizon > 0, f"T must be positive, got {cfg.horizon}"),
+        ("dt", 0 < cfg.dt < math.inf, f"dt must be finite and positive, got {cfg.dt}"),
+        ("T", 0 < cfg.horizon < math.inf, f"T must be finite and positive, got {cfg.horizon}"),
         ("eps", 0 < cfg.jump_cutoff < 1, f"eps must lie in (0, 1), got {cfg.jump_cutoff}"),
         ("stop", cfg.stop in ("mrca", "horizon"), f"stop must be 'mrca' or 'horizon', got {cfg.stop!r}"),
         (

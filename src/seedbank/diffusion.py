@@ -59,6 +59,11 @@ D_TYPE = "D"  # dormant pool pulled toward the active frequency
 
 _KNOT_MERGE_TOL = 1e-12
 
+# the grid is a Python list of about 170 bytes per step while it is built
+# (1.7 GB at this budget, against 150k steps for the longest acceptance run);
+# past this many steps a run stops with an error before anything is allocated
+MAX_STEPS = 10_000_000
+
 
 @dataclass(frozen=True)
 class DiffusionState:
@@ -99,8 +104,8 @@ class IntegratorSettings:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and positive")
         if not 0.0 < self.dt <= self.horizon:
             raise ValueError("need 0 < dt <= horizon")
         if not 0.0 < self.jump_cutoff < 1.0:
@@ -296,9 +301,14 @@ def _knots(horizon: float, dt: float, extra: Sequence[float]):
     """Grid times plus exact insertion of the requested snapshot times.
 
     Returns (times, is_grid, snap_map) where snap_map maps a knot index to
-    the requested times that knot serves.
+    the requested times that knot serves.  Raises ValueError when the grid
+    holds more than MAX_STEPS steps.
     """
-    n_full = int(math.floor(horizon / dt + 1e-9))
+    steps = horizon / dt + 1e-9
+    if steps >= MAX_STEPS + 1:
+        raise ValueError(f"a grid of T / dt = {steps:.6g} steps is past the step budget of "
+                         f"{MAX_STEPS} steps (diffusion.MAX_STEPS); raise dt or lower T")
+    n_full = int(math.floor(steps))
     pts = [(k * dt, False) for k in range(1, n_full + 1)]
     pts = [(t, s) for t, s in pts if t < horizon - _KNOT_MERGE_TOL]
     pts.append((horizon, False))

@@ -89,6 +89,8 @@ def test_range_error_names_key_and_line():
     assert err.value.errors == [(5, "reps must be positive, got 0")]
     for text, want in (
         ("[numeric]\nrecord_every = 0\n", [(2, "record_every must be >= 1, got 0")]),
+        ("[numeric]\ndt = 0.01\nT = inf\n", [(3, "T must be finite and positive, got inf")]),
+        ("[numeric]\ndt = inf\n", [(2, "dt must be finite and positive, got inf")]),
         (
             "[experiment]\nkind = coming-down-scan\nt_probe = 0\n",
             [(3, "t_probe must be positive, got 0.0")],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats as scistats
 
+from seedbank import diffusion
 from seedbank.blockcount import duality_rhs
 from seedbank.diffusion import (
     DiffusionState,
@@ -28,6 +29,8 @@ P11 = ModelParams(c=1.0, K=1.0)
 def test_settings_validation():
     with pytest.raises(ValueError):
         IntegratorSettings(horizon=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        IntegratorSettings(horizon=math.inf, dt=0.01)
     with pytest.raises(ValueError):
         IntegratorSettings(horizon=1.0, dt=2.0)
     with pytest.raises(ValueError):
@@ -294,6 +297,23 @@ def test_strong_order_with_shared_noise():
         diffs_01.append(abs(xs[dt0] - xs[dt0 / 2]))
         diffs_12.append(abs(xs[dt0 / 2] - xs[dt0 / 4]))
     assert np.mean(diffs_12) < np.mean(diffs_01)
+
+
+def test_step_budget_stops_a_grid_before_it_is_built(monkeypatch):
+    monkeypatch.setattr(diffusion, "MAX_STEPS", 1000)
+    at_budget = IntegratorSettings(horizon=1.0, dt=1e-3)
+    past_budget = IntegratorSettings(horizon=1.0, dt=5e-4)
+    assert len(integrate(P11, DiffusionState(0.5, 0.5), at_budget, seed=0).times) == 1001
+    assert batch_paths(P11, 0.5, 0.5, at_budget, 3, seed=0).final_x.shape == (3,)
+    for run in (
+        lambda: integrate(P11, DiffusionState(0.5, 0.5), past_budget, seed=0),
+        lambda: batch_paths(P11, 0.5, 0.5, past_budget, 3, seed=0),
+    ):
+        with pytest.raises(ValueError, match=r"T / dt = 2000 steps is past the step budget of 1000 steps"):
+            run()
+    # 10^18 steps: refused before the grid is built
+    with pytest.raises(ValueError, match=r"1e\+18 steps"):
+        integrate(P11, DiffusionState(0.5, 0.5), IntegratorSettings(horizon=1e9, dt=1e-9), seed=0)
 
 
 def test_normals_need_gaussian_model():
