@@ -190,7 +190,7 @@ def _moves(a: int, d: int, params: ModelParams) -> _Moves:
 
 # a state of a + d lines has up to a + d + 1 moves (about 3,800 for an atom at
 # a = 10^4), so only states of at most this many lines keep their moves
-_CACHED_LINES = 64
+_CACHED_LINES = 32
 
 
 class _MoveTable(dict):
@@ -208,7 +208,7 @@ class _MoveTable(dict):
 
 
 # one lookup per run, so the model is hashed once per run, not per event; a
-# full table holds about 2,100 states and at most a few MB
+# full table holds 560 states, about 2 MB with an atom and a Beta component
 @lru_cache(maxsize=8)
 def _move_table(params: ModelParams) -> _MoveTable:
     return _MoveTable(params)
