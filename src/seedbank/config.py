@@ -257,6 +257,16 @@ def _range_errors(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         ("reps", cfg.reps >= 1, f"reps must be positive, got {cfg.reps}"),
         ("dt", 0 < cfg.dt < math.inf, f"dt must be finite and positive, got {cfg.dt}"),
         ("T", 0 < cfg.horizon < math.inf, f"T must be finite and positive, got {cfg.horizon}"),
+        (
+            "dt",
+            not (0 < cfg.dt < math.inf and 0 < cfg.horizon < math.inf) or cfg.dt <= cfg.horizon,
+            f"dt must not exceed T, got dt = {cfg.dt} and T = {cfg.horizon}",
+        ),
+        (
+            "boundary_tol",
+            0 <= cfg.boundary_tol < 0.5,
+            f"boundary_tol must lie in [0, 0.5), got {cfg.boundary_tol}",
+        ),
         ("eps", 0 < cfg.jump_cutoff < 1, f"eps must lie in (0, 1), got {cfg.jump_cutoff}"),
         ("stop", cfg.stop in ("mrca", "horizon"), f"stop must be 'mrca' or 'horizon', got {cfg.stop!r}"),
         (

@@ -20,16 +20,16 @@ dt-refinement so that discretization-induced hits are visible.
 A scalar integrator produces full :class:`Trajectory` records (used by the
 delay-representation check); a vectorized batch engine drives the Monte
 Carlo experiments (duality, martingale, fixation, boundary hitting).  Both
-read one set of drift coefficients and one jump schedule and land a step on
-each jump.  There is one scalar Euler step for ``integrate`` and one
-vectorized step for every batch lane; the batch engine advances a window's
-jumps in rounds, one jump per lane and round.
+read one set of drift coefficients and one jump schedule, walk one grid of
+knots once, and land a step on each jump.  There is one scalar Euler step for
+``integrate`` and one vectorized step for every batch lane; ``integrate``
+lands on a knot's jumps inside its walk, and the batch engine advances a
+window's jumps in rounds, one jump per lane and round.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -81,8 +81,9 @@ class IntegratorSettings:
 
     jump_cutoff   jumps of size below this are drift-compensated instead of
                   simulated
-    boundary_tol  sup-norm distance to a corner that counts as fixation;
-                  0 means exact hits only
+    boundary_tol  sup-norm distance to a corner that counts as fixation, in
+                  [0, 1/2) so that no state is near both corners; 0 means
+                  exact hits only
     noise_model   "binomial": the active frequency moves by a Binomial(1/dt,
                   p) resampling around the post-drift mean, i.e. one
                   generation of the prelimit population model per step.
@@ -110,8 +111,8 @@ class IntegratorSettings:
             raise ValueError("need 0 < dt <= horizon")
         if not 0.0 < self.jump_cutoff < 1.0:
             raise ValueError("jump cutoff must lie in (0, 1)")
-        if self.boundary_tol < 0.0:
-            raise ValueError("boundary tolerance must be nonnegative")
+        if not 0.0 <= self.boundary_tol < 0.5:  # from 1/2 up a state is near both corners
+            raise ValueError("boundary tolerance must lie in [0, 0.5)")
         if self.noise_model not in ("binomial", "gaussian"):
             raise ValueError(f"unknown noise model {self.noise_model!r}")
         if self.record_every < 1:
@@ -264,26 +265,6 @@ def _euler_batch(x, y, lanes, h, coeffs, binomial, rng):
     y[lanes] = np.clip(yn, 0.0, 1.0)
 
 
-def _advance(x, y, t_from, t_to, events, step):
-    """Move one ``integrate`` path from t_from to t_to through its jumps.
-
-    ``events`` holds (t, is_f, z) in time order with t <= t_to.  The Euler
-    ``step(x, y, h)`` is shortened to land on each jump time, the jump is
-    applied and clamped, and stepping resumes.
-    """
-    for t, is_f, z in events:
-        if t > t_from:
-            x, y = step(x, y, t - t_from)
-            t_from = t
-        if is_f:
-            x = min(max(x + z * (y - x), 0.0), 1.0)
-        else:
-            y = min(max(y + z * (x - y), 0.0), 1.0)
-    if t_to > t_from:
-        x, y = step(x, y, t_to - t_from)
-    return x, y
-
-
 class _Normals:
     """An explicit standard-normal sequence in place of the generator's draws."""
 
@@ -300,9 +281,9 @@ class _Normals:
 def _knots(horizon: float, dt: float, extra: Sequence[float]):
     """Grid times plus exact insertion of the requested snapshot times.
 
-    Returns (times, is_grid, snap_map) where snap_map maps a knot index to
-    the requested times that knot serves.  Raises ValueError when the grid
-    holds more than MAX_STEPS steps.
+    Returns (times, snap_map) where snap_map maps a knot index to the
+    requested times that knot serves; both integrators walk this grid.
+    Raises ValueError when the grid holds more than MAX_STEPS steps.
     """
     steps = horizon / dt + 1e-9
     if steps >= MAX_STEPS + 1:
@@ -360,9 +341,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate one path on [0, horizon] and record it.
 
-    Jump times are interleaved exactly: the Euler step is shortened to land
-    on each jump, the jump is applied, and stepping resumes.  The state is
-    clamped to [0, 1]^2 after every update.  Deterministic given the seed.
+    One walk over the grid knots: before stepping to a knot, the walk
+    takes the jumps at or before it in time order, shortening the Euler step
+    to land on each jump time and applying the jump.  The state is clamped
+    to [0, 1]^2 after every update.  Deterministic given the seed.
 
     ``noise=False`` drops the Brownian term (diagnostic).  ``normals`` feeds
     an explicit standard-normal sequence instead of the generator's (only
@@ -374,14 +356,11 @@ def integrate(
         raise ValueError("explicit normals need the gaussian noise model and no jump measures")
     schedule = _schedule(params, settings.jump_cutoff, settings.horizon, 1, rng)
     ev_t, _, ev_z, ev_f = (a.tolist() for a in schedule)
-    events = list(zip(ev_t, ev_f, ev_z))
+    ev_t.append(math.inf)  # sentinel: no knot reaches it
 
     coeffs = _drift_coefficients(params, settings.jump_cutoff)
     binomial = settings.noise_model == "binomial"
     source = rng if normals is None else _Normals(normals)
-
-    def step(x, y, h):
-        return _euler_scalar(x, y, h, coeffs, noise, binomial, source)
 
     x, y = s0.x, s0.y
     abs00, abs11 = _corner_absorbing(params)
@@ -391,22 +370,30 @@ def integrate(
     rec_y = [y]
     jumps: list[tuple[float, str, float]] = []
     ev_pos = 0
-    t_prev = 0.0
+    clock = 0.0
     frozen = False
     for k, t_cur in enumerate(times, start=1):
         if not frozen:
-            ev_end = bisect_right(ev_t, t_cur, ev_pos)
-            window = events[ev_pos:ev_end]
-            ev_pos = ev_end
-            x, y = _advance(x, y, t_prev, t_cur, window, step)
-            jumps += [(t, F_TYPE if is_f else D_TYPE, z) for t, is_f, z in window]
+            while ev_t[ev_pos] <= t_cur:
+                t, z, is_f = ev_t[ev_pos], ev_z[ev_pos], ev_f[ev_pos]
+                ev_pos += 1
+                if t > clock:  # shorten the step to land on the jump
+                    x, y = _euler_scalar(x, y, t - clock, coeffs, noise, binomial, source)
+                    clock = t
+                if is_f:
+                    x = min(max(x + z * (y - x), 0.0), 1.0)
+                else:
+                    y = min(max(y + z * (x - y), 0.0), 1.0)
+                jumps.append((t, F_TYPE if is_f else D_TYPE, z))
+            if t_cur > clock:
+                x, y = _euler_scalar(x, y, t_cur - clock, coeffs, noise, binomial, source)
+                clock = t_cur
             if (x == 0.0 and y == 0.0 and abs00) or (x == 1.0 and y == 1.0 and abs11):
                 frozen = True  # exact fixed point of every term; path is constant now
         if k % settings.record_every == 0 or t_cur == times[-1]:
             rec_t.append(t_cur)
             rec_x.append(x)
             rec_y.append(y)
-        t_prev = t_cur
 
     hit_00, hit_11 = map(bool, _near_corners(x, y, settings.boundary_tol))
     return Trajectory(
@@ -493,7 +480,9 @@ def batch_paths(
     without jumps is one step of all live lanes.  With ``freeze_corner_tol``
     set, lanes within that sup-norm distance of an absorbing corner are
     snapped onto it and frozen (the corner is an exact fixed point, so only
-    the snap distance is an approximation).  Deterministic given the seed.
+    the snap distance is an approximation).  A knot with no live lane takes
+    no step, and each snapshot is taken at its knot.  Deterministic given
+    the seed.
     """
     rng = as_rng(seed)
     eps = settings.jump_cutoff
@@ -571,13 +560,6 @@ def batch_paths(
             for s in snap_map[knot_i]:
                 snapshots.append((s, x.copy(), y.copy()))
         t_prev = t_cur
-        if not active.any():
-            # everything frozen; remaining snapshots read the same state
-            for i in sorted(snap_map):
-                if i > knot_i:
-                    for s in snap_map[i]:
-                        snapshots.append((s, x.copy(), y.copy()))
-            break
 
     return BatchResult(
         snapshots=snapshots,
@@ -615,7 +597,11 @@ def duality_lhs_grid(
     seed=None,
     settings: Optional[IntegratorSettings] = None,
 ) -> dict[tuple[int, int, float], tuple[float, float]]:
-    """All moment estimates over a grid of exponents and times from one batch."""
+    """All moment estimates over a grid of exponents and times from one batch.
+
+    The run's horizon is the largest positive time; ``settings`` gives the
+    rest.
+    """
     for n, m in exponents:
         if n < 0 or m < 0 or n + m < 1:
             raise ValueError(f"invalid moment exponents {(n, m)}")
@@ -627,8 +613,7 @@ def duality_lhs_grid(
                 out[(n, m, t)] = (float(x) ** n * float(y) ** m, 0.0)
     if not run_times:
         return out
-    if settings is None:
-        settings = IntegratorSettings(horizon=max(run_times), dt=1e-3)
+    settings = _run_settings(settings, max(run_times))
     res = batch_paths(params, x, y, settings, reps, seed, snapshot_times=run_times)
     for t_s, xs, ys in res.snapshots:
         key_t = next(t for t in times if abs(float(t) - t_s) < 1e-9)

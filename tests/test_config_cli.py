@@ -91,6 +91,15 @@ def test_range_error_names_key_and_line():
         ("[numeric]\nrecord_every = 0\n", [(2, "record_every must be >= 1, got 0")]),
         ("[numeric]\ndt = 0.01\nT = inf\n", [(3, "T must be finite and positive, got inf")]),
         ("[numeric]\ndt = inf\n", [(2, "dt must be finite and positive, got inf")]),
+        ("[numeric]\ndt = 0.5\nT = 0.25\n", [(2, "dt must not exceed T, got dt = 0.5 and T = 0.25")]),
+        (
+            "[experiment]\nkind = duality\n\n[numeric]\ndt = 3.0\n",
+            [(5, "dt must not exceed T, got dt = 3.0 and T = 2.0")],
+        ),
+        *(
+            (f"[numeric]\nboundary_tol = {raw}\n", [(2, f"boundary_tol must lie in [0, 0.5), got {raw}")])
+            for raw in ("nan", "-0.1", "0.5", "inf")
+        ),
         (
             "[experiment]\nkind = coming-down-scan\nt_probe = 0\n",
             [(3, "t_probe must be positive, got 0.0")],

@@ -35,6 +35,9 @@ def test_settings_validation():
         IntegratorSettings(horizon=1.0, dt=2.0)
     with pytest.raises(ValueError):
         IntegratorSettings(horizon=1.0, jump_cutoff=1.5)
+    for tol in (-0.1, 0.5, math.nan):
+        with pytest.raises(ValueError, match=r"\[0, 0\.5\)"):
+            IntegratorSettings(horizon=1.0, boundary_tol=tol)
     with pytest.raises(ValueError):
         IntegratorSettings(horizon=1.0, noise_model="exact")
     with pytest.raises(ValueError):
@@ -92,6 +95,17 @@ def test_duality_against_exact_rhs_with_moments():
     for (n, m, t), (mean, se) in grid.items():
         rhs, _ = duality_rhs(n, m, 0.2, 0.8, P11, t)
         assert abs(mean - rhs) <= 3 * se + 0.005
+
+
+def test_duality_grid_runs_to_its_largest_time():
+    lam = SwitchingMeasure.atom(0.5, 0.5)
+    p = ModelParams(c=1.0, K=1.0, lambda_ad=lam, lambda_da=lam)
+    grids = [
+        duality_lhs_grid(p, 0.2, 0.8, [(1, 0), (2, 1)], [0.0, 0.5], 500, seed=1,
+                         settings=IntegratorSettings(horizon=horizon, dt=1e-3))
+        for horizon in (0.5, 2.0, 0.25)
+    ]
+    assert grids[1] == grids[0] and grids[2] == grids[0]
 
 
 def test_martingale_exact_corners():
@@ -370,3 +384,23 @@ def test_integrate_determinism():
     a = integrate(p, DiffusionState(0.4, 0.8), st, seed=18)
     b = integrate(p, DiffusionState(0.4, 0.8), st, seed=18)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y) and a.jumps == b.jumps
+
+
+@pytest.mark.parametrize("noise_model", ["binomial", "gaussian"])
+def test_integrate_lands_on_jumps_at_zero_on_a_knot_and_together(monkeypatch, noise_model):
+    dt = 1e-2
+    at_knot = 3 * dt  # _knots builds the grid as k * dt
+    schedule = [(0.0, True, 0.5), (at_knot, False, 0.3), (0.0537, True, 0.2), (0.0537, False, 0.9)]
+
+    def fixed_schedule(params, eps, horizon, reps, rng):
+        t, is_f, z = (np.array(col) for col in zip(*schedule))
+        return t, np.zeros(t.size, dtype=np.int64), z, is_f
+
+    monkeypatch.setattr(diffusion, "_schedule", fixed_schedule)
+    st = IntegratorSettings(horizon=0.1, dt=dt, noise_model=noise_model)
+    tr = integrate(P11, DiffusionState(0.3, 0.7), st, seed=4)
+    assert at_knot in tr.times.tolist()
+    assert tr.jumps == [(t, "F" if is_f else "D", z) for t, is_f, z in schedule]
+    res = batch_paths(P11, 0.3, 0.7, st, 1, seed=4)
+    assert res.jump_counts == {"F": 2, "D": 2}
+    assert (float(res.final_x[0]), float(res.final_y[0])) == (float(tr.x[-1]), float(tr.y[-1]))

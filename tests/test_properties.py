@@ -34,7 +34,13 @@ from seedbank.coalescent import (
 from seedbank.config import EXPERIMENTS, ExperimentConfig, parse_config, serialize_config
 from seedbank.diffusion import IntegratorSettings, batch_paths, integrate
 from seedbank.forward_wf import WFConfig, run_trajectory, wf_ensemble
-from seedbank.measures import ModelParams, SwitchingMeasure, group_switch_rate, total_flip_rate
+from seedbank.measures import (
+    ModelParams,
+    SwitchingMeasure,
+    group_switch_rate,
+    total_flip_rate,
+    total_mass,
+)
 
 weights = st.floats(0.01, 2.0)
 atoms = st.lists(st.tuples(st.floats(0.01, 1.0), weights), max_size=2)
@@ -130,6 +136,25 @@ def test_duality_at_time_zero_is_the_monomial(params, s0, x, y):
     n, m = s0
     val, se = duality_rhs(n, m, x, y, params, 0.0)
     assert val == x**n * y**m and se == 0.0
+
+
+# (n, m) with 1 <= n + m <= 4
+few_lines = st.integers(1, 4).flatmap(lambda b: st.integers(0, b).map(lambda m: (b - m, m)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(models, few_lines, unit, unit)
+def test_duality_tends_to_the_last_line_law(params, s0, x, y):
+    # the last line goes dormant at rate r_ad = c + |lambda_ad| and active at
+    # r_da = cK + |lambda_da|, so E[x^N y^M] tends to its active share
+    # r_da / (r_ad + r_da) times x plus its dormant share times y
+    r_ad = params.c + total_mass(params.lambda_ad)
+    r_da = params.c * params.K + total_mass(params.lambda_da)
+    # r_da > 0 makes the MRCA reachable; rates of at least 1/2 within a factor
+    # 2 of each other bring every start within 1e-7 of the limit by t = 200
+    assume(min(r_ad, r_da) >= 0.5 and max(r_ad, r_da) <= 2.0 * min(r_ad, r_da))
+    got, _ = duality_rhs(*s0, x, y, params, 200.0)
+    assert got == pytest.approx((r_da * x + r_ad * y) / (r_ad + r_da), abs=1e-6)
 
 
 # c is 0 or at least 0.01: without a horizon, a tiny positive c makes a run
@@ -245,9 +270,9 @@ def test_trajectory_is_a_one_lane_ensemble(cfg, x0, y0, generations, seed):
     )
 
 
-def _config_or_none(**fields):
+def _config_or_none(dt_and_horizon, **fields):
     try:
-        return ExperimentConfig(**fields)
+        return ExperimentConfig(dt=min(dt_and_horizon), horizon=max(dt_and_horizon), **fields)
     except ValueError:
         return None
 
@@ -255,6 +280,7 @@ def _config_or_none(**fields):
 finite = st.floats(allow_nan=False)
 configs = st.builds(
     _config_or_none,
+    st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
     seed=st.integers(0, 2**64 - 1),
     out=st.text(max_size=12),
     model=st.builds(
@@ -282,10 +308,8 @@ configs = st.builds(
     xs=st.lists(unit, min_size=1, max_size=4).map(tuple),
     ys=st.lists(unit, min_size=1, max_size=4).map(tuple),
     reps=st.integers(1, 10**7),
-    dt=st.floats(1e-300, 1e300),
-    horizon=st.floats(1e-300, 1e300),
     jump_cutoff=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    boundary_tol=finite,
+    boundary_tol=st.floats(0.0, 0.5, exclude_max=True),
     noise_model=st.sampled_from(["binomial", "gaussian"]),
     record_every=st.integers(1, 1000),
 ).filter(lambda cfg: cfg is not None)
