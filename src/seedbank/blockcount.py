@@ -18,9 +18,9 @@ Three independent routes through this chain back the verification story:
   expectations, used as the right-hand side of the moment duality check.
 
 Every consumer of the chain reads its switching rates from one cached rate
-row per (measure, eligible count, single-line rate), and every scalar
-consumer reads its moves from one category list (``_categories``), so the
-simulators and the oracles cannot drift apart.
+row per (measure, eligible count, single-line rate) and its targets from
+``_after``: the simulators through one category list (``_categories``), the
+oracles through one lattice (``_generator``), tested against the rate table.
 
 The scalar loop pays for its random draws and little else: a move table per
 model (``_move_table``) keeps, for each state of at most ``_CACHED_LINES``
@@ -40,6 +40,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse as _sparse
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import expm_multiply, spsolve
 
 from .measures import ModelParams, SwitchingMeasure, group_switch_rate, total_mass
@@ -415,40 +416,50 @@ def blockcount_ensemble(
 # ---------------------------------------------------------------------------
 
 
-def _reachable_states(s0: BlockCountState, params: ModelParams, *, absorb_at_total_one: bool):
-    """Breadth-first enumeration of the reachable lattice.
+# the oracles refuse a lattice of more moves than this; the spontaneous start
+# (1000, 0) has 1.5M, and its first-step solve peaks near 0.8 GB
+MAX_LATTICE_MOVES = 3_000_000
 
-    Returns {state: transitions out of it} in sorted state order; with
-    ``absorb_at_total_one`` states of total 1 have no transitions.
+
+def _generator(s0: BlockCountState, params: ModelParams):
+    """(a, d, i0, Q): the states s0 reaches, s0's position and the CSR generator.
+
+    No move raises a + d, so each state lies on the triangle a + d <= L, at
+    index first[a] + d (sorted order).  For each count b, rate rows give the
+    moves of the states with b active (merge, to_dormant) or b dormant
+    (to_active) lines, and ``_after`` their targets.  Raises ValueError past
+    MAX_LATTICE_MOVES moves, counted from the rows before any state array.
     """
-    moves = {}
-    frontier = [s0]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            if s in moves:
-                continue
-            absorbed = absorb_at_total_one and s.n + s.m <= 1
-            moves[s] = [] if absorbed else bc_transition_rates(s, params)
-            nxt += [target for target, _ in moves[s] if target not in moves]
-        frontier = nxt
-    return {s: moves[s] for s in sorted(moves)}
-
-
-def _generator(s0: BlockCountState, params: ModelParams, *, absorb_at_total_one: bool):
-    """(states, index, Q): the reachable lattice and its CSR generator."""
-    moves = _reachable_states(s0, params, absorb_at_total_one=absorb_at_total_one)
-    states = list(moves)
-    index = {s: i for i, s in enumerate(states)}
-    rows, cols, vals = [], [], []
-    for s, i in index.items():
-        for target, r in moves[s]:
-            rows += (i, i)
-            cols += (index[target], i)
-            vals += (r, -r)
-    dim = len(states)
-    Q = _sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    return states, index, Q
+    L = s0.n + s0.m
+    moves, rows = 0, []  # rows: (kind, b, lines k, rates), one per kind and b
+    for b in range(1, L + 1):
+        if moves > MAX_LATTICE_MOVES:
+            break  # the merges alone stop a huge start within a few rows
+        # the merge row: its one entry takes 2 of the b active lines
+        for kind, row in ((MERGE, (0.0, b * (b - 1) / 2.0)),
+                          (TO_DORMANT, _switch_row(params.lambda_ad, b, params.c)),
+                          (TO_ACTIVE, _switch_row(params.lambda_da, b, params.c * params.K))):
+            row = np.array(row)
+            k = np.flatnonzero(row > 0.0) + 1
+            rows.append((kind, b, k, row[k - 1]))
+            moves += (L - b + 1) * k.size
+    if moves > MAX_LATTICE_MOVES:
+        raise ValueError(f"the lattice from {tuple(s0)} has at least {moves} moves, past the lattice "
+                         f"budget of {MAX_LATTICE_MOVES} moves (blockcount.MAX_LATTICE_MOVES)")
+    first = np.concatenate(([0], np.cumsum(np.arange(L + 1, 0, -1))))  # index of (a, 0)
+    a = np.repeat(np.arange(L + 1), np.diff(first))
+    d = np.arange(a.size) - first[a]
+    parts = []
+    for kind, b, k, r in rows:
+        i = (first[: L - b + 1] + b if kind == TO_ACTIVE else np.arange(first[b], first[b + 1]))[:, None]
+        ta, td = _after(a[i], d[i], kind, k)
+        parts.append([v.ravel() for v in np.broadcast_arrays(r, i, first[ta] + td)])
+    rate, src, dst = map(np.concatenate, zip(*parts))
+    off = _sparse.csr_matrix((rate, (src, dst)), shape=(a.size, a.size))
+    start = first[s0.n] + s0.m
+    keep = np.sort(breadth_first_order(off, start, return_predecessors=False))
+    off = off[keep][:, keep]
+    return a[keep], d[keep], int(np.searchsorted(keep, start)), off - _sparse.diags(off.sum(axis=1).A1)
 
 
 def expected_tmrca_first_step(s0: BlockCountState, params: ModelParams) -> float:
@@ -473,21 +484,22 @@ def expected_branch_lengths_first_step(
 
 
 def _first_step_solve(s0, params) -> tuple[float, float, float]:
-    """Expected (absorption time, active length, dormant length) from s0."""
+    """Expected (absorption time, active length, dormant length) from s0, over
+    the transient states (total above 1) of the lattice both oracles read."""
     s0 = _start(s0, params, need_mrca=True)
     if s0.n + s0.m == 1:
         return 0.0, 0.0, 0.0
 
-    states, index, Q = _generator(s0, params, absorb_at_total_one=True)
-    transient = [i for i, s in enumerate(states) if s.n + s.m > 1]
+    a, d, i0, Q = _generator(s0, params)
+    transient = np.flatnonzero(a + d > 1)
     Q_TT = Q[transient][:, transient]
-    for i, q in zip(transient, Q_TT.diagonal()):
-        if q >= 0.0:
-            raise ValueError(f"state {states[i]} has no positive exit rate; it never reaches total 1")
-    rewards = np.array([(1.0, states[i].n, states[i].m) for i in transient])
+    stuck = transient[Q_TT.diagonal() >= 0.0]
+    if stuck.size:
+        raise ValueError(f"state {(int(a[stuck[0]]), int(d[stuck[0]]))} has no positive exit "
+                         "rate; it never reaches total 1")
+    rewards = np.column_stack((np.ones(transient.size), a[transient], d[transient]))
     sol = spsolve((-Q_TT).tocsc(), rewards)
-    i0 = transient.index(index[s0])
-    return tuple(float(v) for v in sol[i0])
+    return tuple(float(v) for v in sol[np.searchsorted(transient, i0)])
 
 
 def duality_rhs(
@@ -505,9 +517,9 @@ def duality_rhs(
     """E[x^{N_t} y^{M_t}] for the chain started at (n, m), as (value, stderr).
 
     method="exact" applies the matrix exponential of the sparse generator
-    over the finite reachable lattice to the vector x^n y^m (no state is
-    absorbing for this computation; the last line keeps flipping marks),
-    with scipy's ``expm_multiply`` at double precision; stderr is 0.
+    on the lattice (n, m) reaches (no state absorbs; the last line keeps
+    flipping marks) to the vector x^a y^d with scipy's ``expm_multiply``;
+    stderr is 0.  Past MAX_LATTICE_MOVES moves it raises ValueError.
 
     method="mc" averages x^{N_t} y^{M_t} over ``reps`` simulated paths.
     """
@@ -525,9 +537,10 @@ def duality_rhs(
 
 
 def _duality_expm(s0, x, y, params, t) -> float:
-    states, index, Q = _generator(s0, params, absorb_at_total_one=False)
-    f = np.array([float(x) ** s.n * float(y) ** s.m for s in states])
-    return float(expm_multiply(Q * t, f)[index[s0]])
+    a, d, i0, Q = _generator(s0, params)
+    # Python powers by line count: np.power can differ from ** in the last bit
+    px, py = (np.array([float(z) ** k for k in range(s0.n + s0.m + 1)]) for z in (x, y))
+    return float(expm_multiply(Q * t, px[a] * py[d])[i0])
 
 
 # ---------------------------------------------------------------------------

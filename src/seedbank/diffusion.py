@@ -495,6 +495,7 @@ def batch_paths(
     y = np.full(reps, float(y0))
     frozen_at = np.full(reps, np.nan)
     active = np.ones(reps, dtype=bool)
+    live = reps  # lanes not frozen; only freeze lowers it
     hits = (
         {name: np.zeros(reps, dtype=bool) for name in ("x0", "x1", "y0", "y1")}
         if track_hits
@@ -511,6 +512,7 @@ def batch_paths(
         hits["y1"][idx] |= y[idx] == 1.0
 
     def freeze(idx, t):
+        nonlocal live
         if freeze_corner_tol is None:
             return
         for corner in (0, 1):
@@ -518,6 +520,7 @@ def batch_paths(
                 sel = idx[_near_corners(x[idx], y[idx], freeze_corner_tol)[corner]]
                 x[sel] = y[sel] = corner
                 frozen_at[sel] = t
+                live -= np.count_nonzero(active[sel])
                 active[sel] = False
 
     record_hits(np.arange(reps))
@@ -528,7 +531,7 @@ def batch_paths(
     ev_pos = 0
     t_prev = 0.0
     for knot_i, t_cur in enumerate(times):
-        if t_cur > t_prev and active.any():
+        if t_cur > t_prev and live:
             ev_end = int(np.searchsorted(ev_t, t_cur, side="right"))
             # the window's jumps on live lanes, in time order
             pending = ev_pos + np.flatnonzero(active[ev_lane[ev_pos:ev_end]])

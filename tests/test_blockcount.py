@@ -11,9 +11,9 @@ from seedbank.blockcount import (
     TO_DORMANT,
     BlockCountState,
     _categories,
+    _generator,
     _move_table,
     _moves,
-    _reachable_states,
     bc_transition_rates,
     blockcount_ensemble,
     coming_down_scan,
@@ -251,11 +251,17 @@ def test_duality_two_state_closed_form():
 def test_duality_against_matrix_exponential():
     p = ModelParams(c=1.2, K=0.7, lambda_ad=ATOM, lambda_da=SwitchingMeasure.atom(0.9, 0.2))
     s0 = BlockCountState(2, 1)
-    states = _reachable_states(s0, p, absorb_at_total_one=False)
+    # the reachable lattice by breadth-first search over the rate table
+    moves, frontier = {}, [s0]
+    while frontier:
+        fresh = [s for s in frontier if s not in moves]
+        moves.update((s, bc_transition_rates(s, p)) for s in fresh)
+        frontier = [tgt for s in fresh for tgt, _ in moves[s]]
+    states = sorted(moves)
     idx = {s: i for i, s in enumerate(states)}
     Q = np.zeros((len(states), len(states)))
     for s, i in idx.items():
-        for tgt, r in bc_transition_rates(s, p):
+        for tgt, r in moves[s]:
             Q[i, idx[tgt]] += r
             Q[i, i] -= r
     x, y, t = 0.3, 0.9, 1.7
@@ -263,6 +269,28 @@ def test_duality_against_matrix_exponential():
     want = (expm(Q * t) @ f)[idx[s0]]
     got, _ = duality_rhs(2, 1, x, y, p, t)
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_generator_keeps_only_reachable_states():
+    # a Kingman start only merges: 50 of the 1,326 states of its triangle
+    a, d, i0, Q = _generator(BlockCountState(50, 0), ModelParams(c=0.0))
+    assert a.tolist() == list(range(1, 51)) and d.tolist() == [0] * 50
+    assert i0 == 49 and Q.shape == (50, 50)
+
+
+def test_lattice_budget_stops_a_large_oracle(monkeypatch):
+    # a billion lines: refused after the first rows, before any state array
+    with pytest.raises(ValueError, match=r"has at least \d+ moves, past the lattice budget of 3000000"):
+        duality_rhs(10**9, 0, 0.5, 0.5, P11, 1.0)
+    # from (n, 0) at c = K = 1: C(n, 2) merges and n(n + 1) single flips
+    monkeypatch.setattr(blockcount, "MAX_LATTICE_MOVES", 155)
+    a, _, _, Q = _generator(BlockCountState(10, 0), P11)
+    assert Q.nnz == 155 + a.size  # a start of exactly the budget builds
+    past = r"lattice from \(11, 0\) has at least 157 moves, past the lattice budget of 155 moves"
+    with pytest.raises(ValueError, match=past):
+        expected_tmrca_first_step(BlockCountState(11, 0), P11)
+    with pytest.raises(ValueError, match=past):
+        duality_rhs(11, 0, 0.5, 0.5, P11, 1.0)
 
 
 def test_duality_long_time_limit():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from seedbank import blockcount
 from seedbank.cli import main, run_experiment
 from seedbank.config import (
     ConfigError,
@@ -218,6 +219,17 @@ def test_cli_unreachable_mrca_is_reported(tmp_path, capsys):
     rc = run_experiment(cfg, workers=1)
     assert rc == 2
     assert "unreachable" in capsys.readouterr().err
+
+
+def test_cli_blockcount_reports_the_lattice_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(blockcount, "MAX_LATTICE_MOVES", 155)
+    cfg = ExperimentConfig(
+        experiment="blockcount", out=str(tmp_path / "b"), n=11, m=0, reps=50,
+        model=ModelParams(c=1.0, K=1.0),
+    )
+    rc = run_experiment(cfg, workers=1)
+    assert rc == 2
+    assert "has at least 157 moves, past the lattice budget of 155 moves" in capsys.readouterr().err
 
 
 def test_cli_stats_and_scan_outputs(tmp_path):

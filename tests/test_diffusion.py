@@ -313,6 +313,17 @@ def test_strong_order_with_shared_noise():
     assert np.mean(diffs_12) < np.mean(diffs_01)
 
 
+def test_batch_paths_with_every_lane_frozen_at_the_start():
+    p = ModelParams(c=1.0, K=1.0, lambda_ad=SwitchingMeasure.atom(0.5, 1.0))
+    st = IntegratorSettings(horizon=2.0, dt=0.01)
+    res = batch_paths(p, 0.0, 0.0, st, 20, seed=0, snapshot_times=[0.5, 1.0, 2.0],
+                      freeze_corner_tol=1e-9)
+    assert (res.frozen_at == 0.0).all()
+    assert [t for t, _, _ in res.snapshots] == [0.5, 1.0, 2.0]
+    assert all((x == 0.0).all() and (y == 0.0).all() for _, x, y in res.snapshots)
+    assert (res.final_x == 0.0).all() and sum(res.jump_counts.values()) == 0
+
+
 def test_step_budget_stops_a_grid_before_it_is_built(monkeypatch):
     monkeypatch.setattr(diffusion, "MAX_STEPS", 1000)
     at_budget = IntegratorSettings(horizon=1.0, dt=1e-3)

@@ -89,12 +89,43 @@ def test_chain_and_partition_rates_agree(params, s):
 @settings(max_examples=40, deadline=None)
 @given(models, small_states)
 def test_generator_rows_are_conservative(params, s0):
-    _, _, Q = _generator(BlockCountState(*s0), params, absorb_at_total_one=False)
+    _, _, _, Q = _generator(BlockCountState(*s0), params)
     dense = Q.toarray()
     off = dense - np.diag(np.diag(dense))
     assert (off >= 0.0).all()
     scale = np.abs(dense).sum(axis=1)
     assert np.all(np.abs(dense.sum(axis=1)) <= 1e-12 * np.maximum(scale, 1.0))
+
+
+def _rate_table_lattice(s0, params):
+    """{state: its positive-rate moves} over the states reachable from s0,
+    by breadth-first search over ``bc_transition_rates``."""
+    moves, frontier = {}, [s0]
+    while frontier:
+        fresh = [s for s in frontier if s not in moves]
+        moves.update((s, bc_transition_rates(s, params)) for s in fresh)
+        frontier = [target for s in fresh for target, _ in moves[s]]
+    return moves
+
+
+@settings(max_examples=60, deadline=None)
+@given(models, st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda s: 1 <= sum(s) <= 6))
+def test_generator_is_the_rate_table_lattice(params, s0):
+    s0 = BlockCountState(*s0)
+    moves = _rate_table_lattice(s0, params)
+    states = sorted(moves)
+    a, d, i0, Q = _generator(s0, params)
+    assert list(zip(a.tolist(), d.tolist())) == states
+    assert states[i0] == s0
+    # no two moves out of one state share a target, so no entry is a sum
+    index = {s: i for i, s in enumerate(states)}
+    want = np.zeros(Q.shape)
+    for s, out in moves.items():
+        for target, r in out:
+            want[index[s], index[target]] = r
+    got = Q.toarray()
+    np.fill_diagonal(got, 0.0)
+    assert (got == want).all()
 
 
 def _pick_by_running_sum(cats, u):
