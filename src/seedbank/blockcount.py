@@ -155,6 +155,12 @@ def _start(s0, params: ModelParams, *, need_mrca: bool) -> BlockCountState:
     return s0
 
 
+def _check_horizon(horizon: Optional[float]) -> None:
+    """Raise unless a simulator's horizon is None or finite and nonnegative."""
+    if horizon is not None and not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be None or finite and nonnegative, got {horizon}")
+
+
 class _Moves(NamedTuple):
     """The positive-rate moves out of one state, as the scalar loop reads them.
 
@@ -267,6 +273,7 @@ def simulate_blockcount(
     events or when the clock cannot advance.  Deterministic given the seed.
     """
     s0 = _start(s0, params, need_mrca=horizon is None)
+    _check_horizon(horizon)
     events = _jumps(s0, params, as_rng(seed), horizon=horizon, stop_at_total_one=horizon is None)
     return [(0.0, s0)] + [(t, BlockCountState(*s)) for t, _, _, s in events]
 
@@ -311,6 +318,7 @@ def blockcount_ensemble(
     the active/dormant split of the last line stays distributed correctly.
     """
     s0 = _start(s0, params, need_mrca=stop_at_total_one and horizon is None)
+    _check_horizon(horizon)
     if not stop_at_total_one and horizon is None:
         raise ValueError("running past total 1 requires a horizon")
 
@@ -524,8 +532,8 @@ def duality_rhs(
     method="mc" averages x^{N_t} y^{M_t} over ``reps`` simulated paths.
     """
     s0 = _start((n, m), params, need_mrca=False)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     if method == "exact":
         return _duality_expm(s0, x, y, params, t), 0.0
     if method == "mc":

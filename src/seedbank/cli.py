@@ -199,7 +199,8 @@ def run_diffusion(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     traj = integrate(
         cfg.model, (cfg.x0, cfg.y0), _settings(cfg), seed=substream(cfg.seed, dom, 0)
     )
-    rows = list(zip(traj.times.tolist(), traj.x.tolist(), traj.y.tolist()))
+    # streamed to the file: no list of row tuples beside the arrays
+    rows = zip(map(float, traj.times), map(float, traj.x), map(float, traj.y))
     write_csv(out / "trajectory.csv", ("t", "x", "y"), rows, cfg)
     write_csv(out / "jumps.csv", ("t", "type", "z"), traj.jumps, cfg)
     write_json(

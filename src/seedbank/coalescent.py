@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .blockcount import MERGE, TO_ACTIVE, TO_DORMANT, _after, _categories, _jumps, _start
+from .blockcount import MERGE, TO_ACTIVE, TO_DORMANT, _after, _categories, _check_horizon, _jumps, _start
 from .measures import ModelParams
 from .measures import group_switch_rate  # noqa: F401  kept bound: perfbench/tracing.py wraps it here
 from .streams import as_rng
@@ -306,6 +306,7 @@ def simulate_coalescent(
     cannot advance.  Deterministic given the seed.
     """
     s0 = _start((n, m), params, need_mrca=horizon is None)
+    _check_horizon(horizon)
     rng = as_rng(seed)
     active = list(range(1, n + 1))
     dormant = list(range(n + 1, n + m + 1))

@@ -59,9 +59,9 @@ D_TYPE = "D"  # dormant pool pulled toward the active frequency
 
 _KNOT_MERGE_TOL = 1e-12
 
-# the grid is a Python list of about 170 bytes per step while it is built
-# (1.7 GB at this budget, against 150k steps for the longest acceptance run);
-# past this many steps a run stops with an error before anything is allocated
+# building the grid peaks at about 66 bytes per step (660 MB at this budget,
+# against 150k steps for the longest acceptance run), 32 of them for the list
+# it returns; past this many steps a run stops before anything is allocated
 MAX_STEPS = 10_000_000
 
 
@@ -279,37 +279,38 @@ class _Normals:
 
 
 def _knots(horizon: float, dt: float, extra: Sequence[float]):
-    """Grid times plus exact insertion of the requested snapshot times.
+    """The knots both integrators walk: the grid times k * dt below the
+    horizon, the horizon and the snapshot times clipped to it, sorted by time
+    (a grid point before a snapshot at the same time) in one ``lexsort``; a
+    point within _KNOT_MERGE_TOL of the last kept knot merges into it.
 
-    Returns (times, snap_map) where snap_map maps a knot index to the
-    requested times that knot serves; both integrators walk this grid.
-    Raises ValueError when the grid holds more than MAX_STEPS steps.
+    Returns (times, {knot index: the requested times it serves}); raises
+    ValueError past MAX_STEPS steps or for a snapshot outside (0, horizon].
     """
     steps = horizon / dt + 1e-9
     if steps >= MAX_STEPS + 1:
         raise ValueError(f"a grid of T / dt = {steps:.6g} steps is past the step budget of "
                          f"{MAX_STEPS} steps (diffusion.MAX_STEPS); raise dt or lower T")
-    n_full = int(math.floor(steps))
-    pts = [(k * dt, False) for k in range(1, n_full + 1)]
-    pts = [(t, s) for t, s in pts if t < horizon - _KNOT_MERGE_TOL]
-    pts.append((horizon, False))
-    for s in extra:
-        s = float(s)
-        if not 0.0 < s <= horizon + _KNOT_MERGE_TOL:
-            raise ValueError(f"snapshot time {s} outside (0, horizon]")
-        pts.append((min(s, horizon), True))
-    pts.sort()
-    times: list[float] = []
+    snaps = np.array(extra, dtype=float)
+    outside = ~((0.0 < snaps) & (snaps <= horizon + _KNOT_MERGE_TOL))
+    if outside.any():
+        raise ValueError(f"snapshot time {float(snaps[outside][0])} outside (0, horizon]")
+    grid = np.arange(1, int(math.floor(steps)) + 1) * dt
+    pts = np.concatenate((grid[grid < horizon - _KNOT_MERGE_TOL], [horizon], np.minimum(snaps, horizon)))
+    is_snap = np.repeat([False, True], (pts.size - snaps.size, snaps.size))
+    order = np.lexsort((is_snap, pts))
+    pts, is_snap = pts[order], is_snap[order]
+    keep = np.diff(pts, prepend=-math.inf) >= _KNOT_MERGE_TOL
+    if (pts - pts[keep][np.cumsum(keep) - 1] >= _KNOT_MERGE_TOL).any():
+        # a run of close points spans the tolerance: merge one by one
+        last = -math.inf
+        for i, t in enumerate(pts.tolist()):
+            keep[i] = t - last >= _KNOT_MERGE_TOL
+            last = t if keep[i] else last
     snap_map: dict[int, list[float]] = {}
-    for t, is_snap in pts:
-        if times and t - times[-1] < _KNOT_MERGE_TOL:
-            if is_snap:
-                snap_map.setdefault(len(times) - 1, []).append(t)
-            continue
-        times.append(t)
-        if is_snap:
-            snap_map.setdefault(len(times) - 1, []).append(t)
-    return times, snap_map
+    for k, s in zip((np.cumsum(keep)[is_snap] - 1).tolist(), pts[is_snap].tolist()):
+        snap_map.setdefault(k, []).append(s)
+    return pts[keep].tolist(), snap_map
 
 
 def _near_corners(x, y, tol):
@@ -473,17 +474,19 @@ def batch_paths(
 ) -> BatchResult:
     """Integrate ``reps`` independent paths in lockstep.
 
-    Every lane moves by the one vectorized Euler step.  A window between two
-    knots advances in rounds: round r takes each lane whose r-th jump in the
-    window is pending, steps it from its own clock to that jump time and
-    applies the jump; then every live lane steps to the knot.  A window
-    without jumps is one step of all live lanes.  With ``freeze_corner_tol``
-    set, lanes within that sup-norm distance of an absorbing corner are
-    snapped onto it and frozen (the corner is an exact fixed point, so only
-    the snap distance is an approximation).  A knot with no live lane takes
-    no step, and each snapshot is taken at its knot.  Deterministic given
-    the seed.
+    The live lanes are one index array in lane order, and every lane moves
+    by the one vectorized Euler step.  A window between two knots advances
+    in rounds: round r takes each live lane whose r-th jump in the window is
+    pending, steps it from its own clock to that jump time and applies the
+    jump; then every live lane steps to the knot.  With ``freeze_corner_tol``
+    in [0, 1/2), lanes within that sup-norm distance of an absorbing corner
+    are snapped onto it, frozen (``frozen_at`` records when) and dropped
+    from the live set; the corner is an exact fixed point, so only the snap
+    distance is an approximation.  A knot with no live lane takes no step,
+    and each snapshot is taken at its knot.  Deterministic given the seed.
     """
+    if freeze_corner_tol is not None and not 0.0 <= freeze_corner_tol < 0.5:
+        raise ValueError("corner tolerance must lie in [0, 0.5)")  # else near both corners
     rng = as_rng(seed)
     eps = settings.jump_cutoff
     ev_t, ev_lane, ev_z, ev_isf = _schedule(params, eps, settings.horizon, reps, rng)
@@ -493,9 +496,7 @@ def batch_paths(
 
     x = np.full(reps, float(x0))
     y = np.full(reps, float(y0))
-    frozen_at = np.full(reps, np.nan)
-    active = np.ones(reps, dtype=bool)
-    live = reps  # lanes not frozen; only freeze lowers it
+    frozen_at = np.full(reps, np.nan)  # nan while a lane is live
     hits = (
         {name: np.zeros(reps, dtype=bool) for name in ("x0", "x1", "y0", "y1")}
         if track_hits
@@ -512,35 +513,34 @@ def batch_paths(
         hits["y1"][idx] |= y[idx] == 1.0
 
     def freeze(idx, t):
-        nonlocal live
+        """Snap and freeze at t the lanes of idx near an absorbing corner; returns the rest."""
         if freeze_corner_tol is None:
-            return
+            return idx
         for corner in (0, 1):
             if absorbing[corner]:
-                sel = idx[_near_corners(x[idx], y[idx], freeze_corner_tol)[corner]]
+                near = _near_corners(x[idx], y[idx], freeze_corner_tol)[corner]
+                sel, idx = idx[near], idx[~near]
                 x[sel] = y[sel] = corner
                 frozen_at[sel] = t
-                live -= np.count_nonzero(active[sel])
-                active[sel] = False
+        return idx
 
     record_hits(np.arange(reps))
-    freeze(np.flatnonzero(active), 0.0)
+    live = freeze(np.arange(reps), 0.0)  # the live lanes in lane order; only freeze shrinks it
 
     times, snap_map = _knots(settings.horizon, settings.dt, snapshot_times)
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
     ev_pos = 0
     t_prev = 0.0
     for knot_i, t_cur in enumerate(times):
-        if t_cur > t_prev and live:
+        if t_cur > t_prev and live.size:
             ev_end = int(np.searchsorted(ev_t, t_cur, side="right"))
             # the window's jumps on live lanes, in time order
-            pending = ev_pos + np.flatnonzero(active[ev_lane[ev_pos:ev_end]])
+            pending = ev_pos + np.flatnonzero(np.isnan(frozen_at[ev_lane[ev_pos:ev_end]]))
             ev_pos = ev_end
             n_f = int(np.count_nonzero(ev_isf[pending]))
             jump_counts[F_TYPE] += n_f
             jump_counts[D_TYPE] += pending.size - n_f
-            idx = np.flatnonzero(active)
-            move, h = idx, t_cur - t_prev
+            move, h = live, t_cur - t_prev
             if pending.size:
                 clock = np.full(reps, t_prev)
                 while pending.size:
@@ -554,11 +554,11 @@ def batch_paths(
                     xl, yl, z, is_f = x[lane], y[lane], ev_z[ev], ev_isf[ev]
                     x[lane] = np.where(is_f, np.clip(xl + z * (yl - xl), 0.0, 1.0), xl)
                     y[lane] = np.where(is_f, yl, np.clip(yl + z * (xl - yl), 0.0, 1.0))
-                h = t_cur - clock[idx]
-                move, h = idx[h > 0.0], h[h > 0.0]
+                h = t_cur - clock[live]
+                move, h = live[h > 0.0], h[h > 0.0]
             _euler_batch(x, y, move, h, coeffs, binomial, rng)
-            record_hits(idx)
-            freeze(idx, t_cur)
+            record_hits(live)
+            live = freeze(live, t_cur)
         if knot_i in snap_map:
             for s in snap_map[knot_i]:
                 snapshots.append((s, x.copy(), y.copy()))
@@ -602,8 +602,9 @@ def duality_lhs_grid(
 ) -> dict[tuple[int, int, float], tuple[float, float]]:
     """All moment estimates over a grid of exponents and times from one batch.
 
-    The run's horizon is the largest positive time; ``settings`` gives the
-    rest.
+    Each requested t keys its estimates, a positive one through the snapshot
+    time ``_knots`` hands back for it.  The run's horizon is the largest
+    positive time; ``settings`` gives the rest.
     """
     for n, m in exponents:
         if n < 0 or m < 0 or n + m < 1:
@@ -619,9 +620,8 @@ def duality_lhs_grid(
     settings = _run_settings(settings, max(run_times))
     res = batch_paths(params, x, y, settings, reps, seed, snapshot_times=run_times)
     for t_s, xs, ys in res.snapshots:
-        key_t = next(t for t in times if abs(float(t) - t_s) < 1e-9)
         for n, m in exponents:
-            out[(n, m, key_t)] = mean_stderr(xs**n * ys**m)
+            out[(n, m, t_s)] = mean_stderr(xs**n * ys**m)
     return out
 
 

@@ -26,6 +26,7 @@ from seedbank.blockcount import (
 )
 from seedbank.coalescent import simulate_coalescent
 from seedbank.measures import ModelParams, SwitchingMeasure
+from test_properties import _rate_table_lattice
 
 P11 = ModelParams(c=1.0, K=1.0)
 ATOM = SwitchingMeasure.atom(0.5, 0.4)
@@ -156,6 +157,17 @@ def test_unreachable_mrca_raises():
     one_way = ModelParams(c=0.0, lambda_ad=ATOM)
     with pytest.raises(ValueError):
         expected_tmrca_first_step(BlockCountState(3, 0), one_way)
+    # a horizon is None or finite and nonnegative, and so is the duality time
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be None or finite and nonnegative"):
+            simulate_blockcount(BlockCountState(2, 0), P11, horizon=bad, seed=0)
+        with pytest.raises(ValueError, match="horizon must be None or finite and nonnegative"):
+            simulate_coalescent(2, 0, P11, horizon=bad, seed=0)
+        with pytest.raises(ValueError, match="horizon must be None or finite and nonnegative"):
+            blockcount_ensemble(BlockCountState(2, 0), P11, 10, horizon=bad, stop_at_total_one=False, seed=0)
+        for method in ("exact", "mc"):
+            with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+                duality_rhs(1, 0, 0.5, 0.5, P11, bad, method=method, reps=10, seed=0)
 
 
 def test_simulate_blockcount_paths():
@@ -251,12 +263,7 @@ def test_duality_two_state_closed_form():
 def test_duality_against_matrix_exponential():
     p = ModelParams(c=1.2, K=0.7, lambda_ad=ATOM, lambda_da=SwitchingMeasure.atom(0.9, 0.2))
     s0 = BlockCountState(2, 1)
-    # the reachable lattice by breadth-first search over the rate table
-    moves, frontier = {}, [s0]
-    while frontier:
-        fresh = [s for s in frontier if s not in moves]
-        moves.update((s, bc_transition_rates(s, p)) for s in fresh)
-        frontier = [tgt for s in fresh for tgt, _ in moves[s]]
+    moves = _rate_table_lattice(s0, p)
     states = sorted(moves)
     idx = {s: i for i, s in enumerate(states)}
     Q = np.zeros((len(states), len(states)))

@@ -163,20 +163,25 @@ def test_measure_line_errors():
 
 
 def test_cli_duality_end_to_end(tmp_path):
-    cfg_file = tmp_path / "exp.ini"
-    cfg_file.write_text(
-        "[experiment]\nkind = duality\ntimes = 0.2\nxs = 0.2\nys = 0.8\n"
-        "[numeric]\nreps = 300\ndt = 0.002\nT = 0.2\n"
-    )
-    out = tmp_path / "o1"
-    rc = main(["duality", "--config", str(cfg_file), "--seed", "5", "--out", str(out)])
-    assert rc == 0
-    lines = (out / "duality.csv").read_text().splitlines()
-    header = [ln for ln in lines if not ln.startswith("#")][0]
-    assert header == "n,m,x,y,t,lhs,rhs,diff,stderr"
-    data = [ln for ln in lines if not ln.startswith("#")][1:]
-    assert len(data) == 8  # the (n, m) grid at one (x, y, t)
-    assert any("master-seed = 5" in ln for ln in lines)
+    for i, (times, numeric) in enumerate([
+        ("0.2", "reps = 300\ndt = 0.002\nT = 0.2\n"),
+        # two times 1e-10 apart: each keeps its own rows
+        ("0.5 0.5000000001", "reps = 50\ndt = 0.01\n"),
+    ]):
+        cfg_file = tmp_path / f"exp{i}.ini"
+        cfg_file.write_text(
+            f"[experiment]\nkind = duality\ntimes = {times}\nxs = 0.2\nys = 0.8\n[numeric]\n{numeric}"
+        )
+        out = tmp_path / f"o{i}"
+        rc = main(["duality", "--config", str(cfg_file), "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        lines = (out / "duality.csv").read_text().splitlines()
+        header = [ln for ln in lines if not ln.startswith("#")][0]
+        assert header == "n,m,x,y,t,lhs,rhs,diff,stderr"
+        data = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+        assert len(data) == 8 * len(times.split())  # the (n, m) grid at each (x, y, t)
+        assert sorted({row[4] for row in data}) == times.split()
+        assert any("master-seed = 5" in ln for ln in lines)
 
 
 def test_cli_byte_identical_reruns_and_workers(tmp_path):

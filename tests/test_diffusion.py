@@ -386,6 +386,13 @@ def test_fixation_quick():
     assert abs(fs.frac_11 - 0.5) <= 3 * fs.se_11() + 0.02
     with pytest.raises(ValueError):
         fixation_stats(ModelParams(c=1.0, K=1.0, u2=0.1), (0.3, 0.7), 1.0, 10)
+    # a corner tolerance from 1/2 up puts a state near both corners
+    for tol in (-0.1, 0.5, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"\[0, 0\.5\)"):
+            fixation_stats(P11, (0.3, 0.7), 1.0, 10, seed=0, corner_tol=tol)
+        with pytest.raises(ValueError, match=r"\[0, 0\.5\)"):
+            batch_paths(P11, 0.3, 0.7, IntegratorSettings(horizon=1.0, dt=0.1), 10, seed=0,
+                        freeze_corner_tol=tol)
 
 
 def test_integrate_determinism():

@@ -1,10 +1,11 @@
 """Invariants over random finite measures: switching rates, the block-count
 generator and move table, simulated genealogies and their log, the agreement of the scalar
-and batch diffusion integrators and of the scalar and vectorised Wright-Fisher
-loops, and the config round trip."""
+and batch diffusion integrators and of their knot grid with its list builder,
+of the scalar and vectorised Wright-Fisher loops, and the config round trip."""
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from seedbank.coalescent import (
     simulate_coalescent,
 )
 from seedbank.config import EXPERIMENTS, ExperimentConfig, parse_config, serialize_config
-from seedbank.diffusion import IntegratorSettings, batch_paths, integrate
+from seedbank.diffusion import MAX_STEPS, _KNOT_MERGE_TOL, IntegratorSettings, _knots, batch_paths, integrate
 from seedbank.forward_wf import WFConfig, run_trajectory, wf_ensemble
 from seedbank.measures import (
     ModelParams,
@@ -277,6 +278,77 @@ def test_integrate_is_a_one_lane_batch(params, x0, y0, st_, seed):
     res = batch_paths(params, x0, y0, st_, 1, seed=seed)
     assert (float(res.final_x[0]), float(res.final_y[0])) == (float(tr.x[-1]), float(tr.y[-1]))
 
+
+
+# the list-of-tuples grid builder that ``_knots`` replaced, kept as its reference
+def _knots_reference(horizon: float, dt: float, extra: Sequence[float]):
+    """Grid times plus exact insertion of the requested snapshot times.
+
+    Returns (times, snap_map) where snap_map maps a knot index to the
+    requested times that knot serves; both integrators walk this grid.
+    Raises ValueError when the grid holds more than MAX_STEPS steps.
+    """
+    steps = horizon / dt + 1e-9
+    if steps >= MAX_STEPS + 1:
+        raise ValueError(f"a grid of T / dt = {steps:.6g} steps is past the step budget of "
+                         f"{MAX_STEPS} steps (diffusion.MAX_STEPS); raise dt or lower T")
+    n_full = int(math.floor(steps))
+    pts = [(k * dt, False) for k in range(1, n_full + 1)]
+    pts = [(t, s) for t, s in pts if t < horizon - _KNOT_MERGE_TOL]
+    pts.append((horizon, False))
+    for s in extra:
+        s = float(s)
+        if not 0.0 < s <= horizon + _KNOT_MERGE_TOL:
+            raise ValueError(f"snapshot time {s} outside (0, horizon]")
+        pts.append((min(s, horizon), True))
+    pts.sort()
+    times: list[float] = []
+    snap_map: dict[int, list[float]] = {}
+    for t, is_snap in pts:
+        if times and t - times[-1] < _KNOT_MERGE_TOL:
+            if is_snap:
+                snap_map.setdefault(len(times) - 1, []).append(t)
+            continue
+        times.append(t)
+        if is_snap:
+            snap_map.setdefault(len(times) - 1, []).append(t)
+    return times, snap_map
+
+
+@st.composite
+def knot_grids(draw):
+    """(horizon, dt, snapshot times) near the merge tolerance: dt below it or
+    not, horizons off a multiple of dt or within 1e-15 relative of one, and
+    snapshots on a knot, just off one, at the horizon or out of range."""
+    dt = draw(st.one_of(st.floats(1e-14, 0.99 * _KNOT_MERGE_TOL), st.floats(1e-3, 1.0)))
+    k = draw(st.integers(1, 300))
+    if draw(st.booleans()):
+        horizon = k * dt * draw(st.sampled_from([1.0, 1.0 + 1e-15, 1.0 - 1e-15]))
+    else:
+        horizon = dt * draw(st.floats(1.0, 300.0))
+    on_knot = st.builds(
+        lambda j, off: j * dt + off,
+        st.integers(1, max(1, int(horizon / dt))),
+        st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13, 2e-12]),
+    )
+    special = st.sampled_from([horizon, horizon, horizon + 5e-13, horizon + 2e-12, 0.0, math.nan])
+    return horizon, dt, draw(st.lists(st.one_of(on_knot, on_knot, special), max_size=5))
+
+
+def _grid_or_error(build, horizon, dt, extra):
+    try:
+        return build(horizon, dt, extra)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(knot_grids())
+def test_knots_match_the_list_builder(grid):
+    got = _grid_or_error(_knots, *grid)
+    assert got == _grid_or_error(_knots_reference, *grid)
+    if not isinstance(got, str):
+        assert all(type(t) is float for t in got[0])
 
 @st.composite
 def wf_configs(draw):
