@@ -31,7 +31,7 @@ for K, x0, y0 in [(1.0, 0.3, 0.7), (2.0, 0.3, 0.7), (0.5, 0.5, 0.5)]:
 
 # K * x + y is conserved in expectation on the way to fixation.
 wf = WFConfig(N=100, K=2.0, c=1.0)
-res = wf_ensemble(wf, 0.3, 0.7, 5_000, 400, seed=13, stop_at_fixation=False)
+res = wf_ensemble(wf, 0.3, 0.7, 5_000, 400, seed=13)
 vals = 2.0 * res.i / wf.N + res.j / wf.M
 print(f"\nmean K*x + y after 400 generations: {vals.mean():.4f} (started at {2 * 0.3 + 0.7})")
 

@@ -34,7 +34,7 @@ from .blockcount import (
     tmrca_loglog_scan,
 )
 from .coalescent import simulate_coalescent
-from .config import ExperimentConfig
+from .config import _DOMAINS, ExperimentConfig
 from .diffusion import (
     DUALITY_EXPONENTS,
     DiffusionState,
@@ -386,16 +386,7 @@ def _c13_determinism(seed) -> CriterionResult:
         n_list=(16, 32),
         model=ModelParams(c=1.0, K=1.0, u_active=1.0, u_dormant=0.5),
     )
-    experiments = (
-        "coalescent",
-        "blockcount",
-        "forward-wf",
-        "diffusion",
-        "duality",
-        "tmrca-scan",
-        "coming-down-scan",
-        "stats",
-    )
+    experiments = [name for name in _DOMAINS if name != "acceptance"]
     mismatched: list[str] = []
     tmp = Path(tempfile.mkdtemp(prefix="seedbank-det-"))
     try:
@@ -422,7 +413,7 @@ def _c13_determinism(seed) -> CriterionResult:
         "13",
         "byte-identical reruns and worker-count transparency",
         not mismatched,
-        {"experiments": list(experiments), "mismatched": mismatched},
+        {"experiments": experiments, "mismatched": mismatched},
     )
 
 

@@ -34,7 +34,9 @@ from .blockcount import (
     tmrca_loglog_scan,
 )
 from .coalescent import branch_lengths, simulate_coalescent, tmrca
-from .config import EXPERIMENTS, ConfigError, ExperimentConfig, parse_config, serialize_config
+from .config import (
+    _DOMAINS, EXPERIMENTS, ConfigError, ExperimentConfig, _text, parse_config, serialize_config,
+)
 from .diffusion import DUALITY_EXPONENTS, IntegratorSettings, duality_lhs_grid, integrate
 from .forward_wf import WFConfig, run_trajectory, wf_ensemble
 from .mutation_stats import (
@@ -50,25 +52,6 @@ from .streams import mean_stderr, substream
 
 _WORKERS_ENV = "SEEDBANK_WORKERS"
 
-# stable stream-domain tags per experiment, part of the seeding contract
-_DOMAIN = {
-    "coalescent": 1,
-    "blockcount": 2,
-    "forward-wf": 3,
-    "diffusion": 4,
-    "duality": 5,
-    "tmrca-scan": 6,
-    "coming-down-scan": 7,
-    "stats": 8,
-    "acceptance": 9,
-}
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
 
 def _header_lines(cfg: ExperimentConfig) -> list[str]:
     lines = [f"seedbank-version = {__version__}", f"master-seed = {cfg.seed}", ""]
@@ -82,7 +65,7 @@ def write_csv(path: Path, columns, rows, cfg: ExperimentConfig) -> None:
             f.write(ln + "\n")
         f.write(",".join(columns) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(",".join(_text(v) for v in row) + "\n")
 
 
 def write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
@@ -115,7 +98,7 @@ def _settings(cfg: ExperimentConfig) -> IntegratorSettings:
 
 def run_coalescent(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     horizon = cfg.horizon if cfg.stop == "horizon" else None
-    dom = _DOMAIN["coalescent"]
+    dom = _DOMAINS["coalescent"]
 
     def replicate(r: int):
         return simulate_coalescent(cfg.n, cfg.m, cfg.model, horizon=horizon, seed=substream(cfg.seed, dom, r))
@@ -145,7 +128,7 @@ def run_coalescent(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
 
 def run_blockcount(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    dom = _DOMAIN["blockcount"]
+    dom = _DOMAINS["blockcount"]
     s0 = BlockCountState(cfg.n, cfg.m)
     horizon = cfg.horizon if cfg.stop == "horizon" else None
     path = simulate_blockcount(s0, cfg.model, horizon=horizon, seed=substream(cfg.seed, dom, 0))
@@ -164,7 +147,7 @@ def run_blockcount(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
 
 def run_forward_wf(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    dom = _DOMAIN["forward-wf"]
+    dom = _DOMAINS["forward-wf"]
     wf = WFConfig(N=cfg.pop_size, K=cfg.model.K, c=cfg.model.c, exchange_mode=cfg.exchange_mode)
     traj = run_trajectory(
         wf, cfg.x0, cfg.y0, cfg.generations, record_every=cfg.record_every,
@@ -195,7 +178,7 @@ def run_forward_wf(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
 
 def run_diffusion(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    dom = _DOMAIN["diffusion"]
+    dom = _DOMAINS["diffusion"]
     traj = integrate(
         cfg.model, (cfg.x0, cfg.y0), _settings(cfg), seed=substream(cfg.seed, dom, 0)
     )
@@ -217,7 +200,7 @@ def run_diffusion(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
 def _duality_task(args) -> list[tuple]:
     cfg, task_idx, x, y = args
-    dom = _DOMAIN["duality"]
+    dom = _DOMAINS["duality"]
     times = [float(t) for t in cfg.times]
     # the run's horizon is the largest requested time, not T
     lhs = duality_lhs_grid(
@@ -254,7 +237,7 @@ def run_duality(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
 def run_tmrca_scan(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     rows = tmrca_loglog_scan(
-        cfg.model, cfg.n_list, cfg.reps, seed=substream(cfg.seed, _DOMAIN["tmrca-scan"], 0)
+        cfg.model, cfg.n_list, cfg.reps, seed=substream(cfg.seed, _DOMAINS["tmrca-scan"], 0)
     )
     write_csv(
         out / "scan.csv",
@@ -267,7 +250,7 @@ def run_tmrca_scan(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 def run_coming_down_scan(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     rows = coming_down_scan(
         cfg.model, cfg.n_list, cfg.t_probe, cfg.reps,
-        seed=substream(cfg.seed, _DOMAIN["coming-down-scan"], 0),
+        seed=substream(cfg.seed, _DOMAINS["coming-down-scan"], 0),
     )
     write_csv(
         out / "scan.csv",
@@ -278,7 +261,7 @@ def run_coming_down_scan(cfg: ExperimentConfig, out: Path, workers: int) -> None
 
 
 def run_stats(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    dom = _DOMAIN["stats"]
+    dom = _DOMAINS["stats"]
     model = cfg.model
     sample = cfg.n + cfg.m
     if sample < 2:

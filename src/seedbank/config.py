@@ -28,6 +28,10 @@ and range violations are all collected and reported with their line
 numbers.  Omitted keys take the documented defaults below and are echoed
 into every output file, so a result is always reproducible from its own
 header.
+
+Each key is declared once, in ``_KEYS`` (key -> section, field, parser),
+which drives both ``parse_config`` and ``serialize_config``; each
+experiment kind once, in ``_DOMAINS`` (kind -> stream domain of its run).
 """
 
 from __future__ import annotations
@@ -35,21 +39,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .diffusion import _KNOT_MERGE_TOL
 from .measures import ModelParams, SwitchingMeasure
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "serialize_config", "EXPERIMENTS"]
 
-EXPERIMENTS = (
-    "coalescent",
-    "blockcount",
-    "forward-wf",
-    "diffusion",
-    "duality",
-    "tmrca-scan",
-    "coming-down-scan",
-    "stats",
-    "acceptance",
-)
+# experiment kind -> stream domain tag of its runner, part of the seeding
+# contract; the CLI offers the kinds as subcommands in this order
+_DOMAINS = {
+    "coalescent": 1, "blockcount": 2, "forward-wf": 3, "diffusion": 4, "duality": 5,
+    "tmrca-scan": 6, "coming-down-scan": 7, "stats": 8, "acceptance": 9,
+}
+EXPERIMENTS = tuple(_DOMAINS)
 
 
 class ConfigError(ValueError):
@@ -112,66 +113,51 @@ class _RangeError(ValueError):
         super().__init__("; ".join(msg for _, msg in problems))
 
 
-_RUN_KEYS = {"seed": int, "out": str}
-_MODEL_KEYS = {k: float for k in ("c", "K", "u1", "u2", "u1p", "u2p", "u_active", "u_dormant")}
-_EXPERIMENT_KEYS = {
-    "kind": str,
-    "n": int,
-    "m": int,
-    "x0": float,
-    "y0": float,
-    "pop_size": int,
-    "generations": int,
-    "exchange_mode": str,
-    "stop": str,
-    "n_list": "int_list",
-    "t_probe": float,
-    "times": "float_list",
-    "xs": "float_list",
-    "ys": "float_list",
-}
-_NUMERIC_KEYS = {
-    "reps": int,
-    "dt": float,
-    "T": float,
-    "eps": float,
-    "boundary_tol": float,
-    "noise_model": str,
-    "record_every": int,
-}
-# config key -> dataclass field where the names differ
-_RENAMES = {"T": "horizon", "eps": "jump_cutoff", "kind": "experiment"}
-
-_SECTIONS = {
-    "run": _RUN_KEYS,
-    "model": _MODEL_KEYS,
-    "experiment": _EXPERIMENT_KEYS,
-    "numeric": _NUMERIC_KEYS,
-    "to-dormant": None,  # measure sections take atom/beta lines
-    "to-active": None,
-}
+def _list_of(item):
+    return lambda raw: tuple(item(v) for v in raw.replace(",", " ").split())
 
 
-def _parse_value(kind, raw: str):
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is str:
-        return raw
-    if kind == "int_list":
-        return tuple(int(v) for v in raw.replace(",", " ").split())
-    if kind == "float_list":
-        return tuple(float(v) for v in raw.replace(",", " ").split())
-    raise AssertionError(kind)
+# config key -> (section, field, parser) in the order of the text form; a
+# [model] field belongs to ModelParams, every other one to ExperimentConfig
+_KEYS = {
+    "seed": ("run", "seed", int),
+    "out": ("run", "out", str),
+    **{key: ("model", key, float)
+       for key in ("c", "K", "u1", "u2", "u1p", "u2p", "u_active", "u_dormant")},
+    "kind": ("experiment", "experiment", str),
+    "n": ("experiment", "n", int),
+    "m": ("experiment", "m", int),
+    "x0": ("experiment", "x0", float),
+    "y0": ("experiment", "y0", float),
+    "pop_size": ("experiment", "pop_size", int),
+    "generations": ("experiment", "generations", int),
+    "exchange_mode": ("experiment", "exchange_mode", str),
+    "stop": ("experiment", "stop", str),
+    "n_list": ("experiment", "n_list", _list_of(int)),
+    "t_probe": ("experiment", "t_probe", float),
+    "times": ("experiment", "times", _list_of(float)),
+    "xs": ("experiment", "xs", _list_of(float)),
+    "ys": ("experiment", "ys", _list_of(float)),
+    "reps": ("numeric", "reps", int),
+    "dt": ("numeric", "dt", float),
+    "T": ("numeric", "horizon", float),
+    "eps": ("numeric", "jump_cutoff", float),
+    "boundary_tol": ("numeric", "boundary_tol", float),
+    "noise_model": ("numeric", "noise_model", str),
+    "record_every": ("numeric", "record_every", int),
+}
+# measure section -> ModelParams field; these sections take atom/beta lines
+# and are written between [model] and [experiment]
+_MEASURES = {"to-dormant": "lambda_ad", "to-active": "lambda_da"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every problem found."""
     errors: list[tuple[int, str]] = []
-    values: dict[str, object] = {}  # config keys are unique across sections
-    lines: dict[str, int] = {}
-    measures = {name: {"atoms": [], "beta_components": []} for name in ("to-dormant", "to-active")}
+    model_fields: dict[str, object] = {}
+    cfg_fields: dict[str, object] = {}
+    lines: dict[str, int] = {}  # config key -> line number
+    measures = {name: {"atoms": [], "beta_components": []} for name in _MEASURES}
     section = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -180,7 +166,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _MEASURES and name not in {sec for sec, _, _ in _KEYS.values()}:
                 errors.append((lineno, f"unknown section [{name}]"))
                 section = "__skip__"
             else:
@@ -213,37 +199,34 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append((lineno, f"expected 'key = value', got {line!r}"))
             continue
         key, _, raw_val = line.partition("=")
-        key = key.strip()
-        raw_val = raw_val.strip()
-        registry = _SECTIONS[section]
-        if key not in registry:
+        key, raw_val = key.strip(), raw_val.strip()
+        if _KEYS.get(key, ("",))[0] != section:
             errors.append((lineno, f"unknown key {key!r} in section [{section}]"))
             continue
+        _, name, parse = _KEYS[key]
         try:
-            value = _parse_value(registry[key], raw_val)
+            value = parse(raw_val)
         except ValueError:
             errors.append((lineno, f"cannot parse value for {key!r}: {raw_val!r}"))
             continue
         if section == "model":
             try:
-                ModelParams(**{key: value})  # range check against this line
+                ModelParams(**{name: value})  # range check against this line
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
                 continue
-        values[key] = value
+        (model_fields if section == "model" else cfg_fields)[name] = value
         lines[key] = lineno
 
     if errors:
         raise ConfigError(errors)
 
     model = ModelParams(
-        lambda_ad=SwitchingMeasure(**measures["to-dormant"]),
-        lambda_da=SwitchingMeasure(**measures["to-active"]),
-        **{key: v for key, v in values.items() if key in _MODEL_KEYS},
+        **{attr: SwitchingMeasure(**measures[sec]) for sec, attr in _MEASURES.items()},
+        **model_fields,
     )
-    cfg_kwargs = {_RENAMES.get(key, key): v for key, v in values.items() if key not in _MODEL_KEYS}
     try:
-        return ExperimentConfig(model=model, **cfg_kwargs)
+        return ExperimentConfig(model=model, **cfg_fields)
     except _RangeError as exc:
         raise ConfigError(sorted((lines.get(key, 1), msg) for key, msg in exc.problems)) from exc
 
@@ -256,6 +239,11 @@ def _range_errors(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         ("out", out_ok, f"out must be one line without '#' or surrounding blanks, got {cfg.out!r}"),
         ("reps", cfg.reps >= 1, f"reps must be positive, got {cfg.reps}"),
         ("dt", 0 < cfg.dt < math.inf, f"dt must be finite and positive, got {cfg.dt}"),
+        (
+            "dt",  # below this, grid points merge into knots
+            not 0 < cfg.dt < 2 * _KNOT_MERGE_TOL,
+            f"dt must be at least {2 * _KNOT_MERGE_TOL}, got {cfg.dt}",
+        ),
         ("T", 0 < cfg.horizon < math.inf, f"T must be finite and positive, got {cfg.horizon}"),
         (
             "dt",
@@ -307,29 +295,26 @@ def _range_errors(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     return [(key, msg) for key, ok, msg in checks if not ok]
 
 
+def _text(value) -> str:
+    """Text form of a value: shortest round-trip floats, tuples space-separated."""
+    if isinstance(value, tuple):
+        return " ".join(_text(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) == c."""
-    m = cfg.model
-    out = ["[run]", f"seed = {cfg.seed}", f"out = {cfg.out}", "", "[model]"]
-    for key in _MODEL_KEYS:
-        out.append(f"{key} = {getattr(m, key)!r}")
-    for section, measure in (("to-dormant", m.lambda_ad), ("to-active", m.lambda_da)):
-        out += ["", f"[{section}]"]
-        for z, w in measure.atoms:
-            out.append(f"atom {z!r} {w!r}")
-        for a, b, mass in measure.beta_components:
-            out.append(f"beta {a!r} {b!r} {mass!r}")
-    out += ["", "[experiment]", f"kind = {cfg.experiment}"]
-    for key, kind in _EXPERIMENT_KEYS.items():
-        if key == "kind":
-            continue
-        val = getattr(cfg, _RENAMES.get(key, key))
-        if kind in ("int_list", "float_list"):
-            out.append(f"{key} = {' '.join(repr(v) for v in val)}")
-        else:
-            out.append(f"{key} = {val!r}" if isinstance(val, float) else f"{key} = {val}")
-    out += ["", "[numeric]"]
-    for key, kind in _NUMERIC_KEYS.items():
-        val = getattr(cfg, _RENAMES.get(key, key))
-        out.append(f"{key} = {val!r}" if isinstance(val, float) else f"{key} = {val}")
-    return "\n".join(out) + "\n"
+    out: list[str] = []
+    section = None
+    for key, (key_section, name, _) in _KEYS.items():
+        if key_section != section:
+            if section == "model":
+                for measure_section, measure_name in _MEASURES.items():
+                    measure = getattr(cfg.model, measure_name)
+                    out += ["", f"[{measure_section}]"]
+                    out += [f"atom {_text(atom)}" for atom in measure.atoms]
+                    out += [f"beta {_text(comp)}" for comp in measure.beta_components]
+            out += ["", f"[{key_section}]"]
+            section = key_section
+        out.append(f"{key} = {_text(getattr(cfg.model if section == 'model' else cfg, name))}")
+    return "\n".join(out[1:]) + "\n"

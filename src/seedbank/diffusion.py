@@ -107,8 +107,8 @@ class IntegratorSettings:
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be finite and positive")
-        if not 0.0 < self.dt <= self.horizon:
-            raise ValueError("need 0 < dt <= horizon")
+        if not 2 * _KNOT_MERGE_TOL <= self.dt <= self.horizon:  # no grid point merges
+            raise ValueError(f"need {2 * _KNOT_MERGE_TOL} <= dt <= horizon")
         if not 0.0 < self.jump_cutoff < 1.0:
             raise ValueError("jump cutoff must lie in (0, 1)")
         if not 0.0 <= self.boundary_tol < 0.5:  # from 1/2 up a state is near both corners
@@ -351,7 +351,7 @@ def integrate(
     an explicit standard-normal sequence instead of the generator's (only
     allowed without jump measures; used for coupled step-size comparisons).
     """
-    s0 = DiffusionState(*_as_pair(s0))
+    x, y = _as_pair(s0)
     rng = as_rng(seed)
     if normals is not None and (not params.is_spontaneous() or settings.noise_model != "gaussian"):
         raise ValueError("explicit normals need the gaussian noise model and no jump measures")
@@ -363,7 +363,6 @@ def integrate(
     binomial = settings.noise_model == "binomial"
     source = rng if normals is None else _Normals(normals)
 
-    x, y = s0.x, s0.y
     abs00, abs11 = _corner_absorbing(params)
     times, _ = _knots(settings.horizon, settings.dt, ())
     rec_t = [0.0]
@@ -409,10 +408,9 @@ def integrate(
 
 
 def _as_pair(s0) -> tuple[float, float]:
-    if isinstance(s0, DiffusionState):
-        return s0.x, s0.y
-    x, y = s0
-    return float(x), float(y)
+    """(x, y) of a DiffusionState or of a pair, checked to lie in the unit square."""
+    s0 = s0 if isinstance(s0, DiffusionState) else DiffusionState(*map(float, s0))
+    return s0.x, s0.y
 
 
 def delay_residual(traj: Trajectory, params: ModelParams) -> float:
@@ -487,6 +485,7 @@ def batch_paths(
     """
     if freeze_corner_tol is not None and not 0.0 <= freeze_corner_tol < 0.5:
         raise ValueError("corner tolerance must lie in [0, 0.5)")  # else near both corners
+    x0, y0 = _as_pair((x0, y0))
     rng = as_rng(seed)
     eps = settings.jump_cutoff
     ev_t, ev_lane, ev_z, ev_isf = _schedule(params, eps, settings.horizon, reps, rng)
@@ -494,8 +493,8 @@ def batch_paths(
     binomial = settings.noise_model == "binomial"
     absorbing = _corner_absorbing(params)
 
-    x = np.full(reps, float(x0))
-    y = np.full(reps, float(y0))
+    x = np.full(reps, x0)
+    y = np.full(reps, y0)
     frozen_at = np.full(reps, np.nan)  # nan while a lane is live
     hits = (
         {name: np.zeros(reps, dtype=bool) for name in ("x0", "x1", "y0", "y1")}
@@ -606,6 +605,7 @@ def duality_lhs_grid(
     time ``_knots`` hands back for it.  The run's horizon is the largest
     positive time; ``settings`` gives the rest.
     """
+    x, y = _as_pair((x, y))
     for n, m in exponents:
         if n < 0 or m < 0 or n + m < 1:
             raise ValueError(f"invalid moment exponents {(n, m)}")
@@ -614,7 +614,7 @@ def duality_lhs_grid(
     for t in times:
         if float(t) == 0.0:
             for n, m in exponents:
-                out[(n, m, t)] = (float(x) ** n * float(y) ** m, 0.0)
+                out[(n, m, t)] = (x**n * y**m, 0.0)
     if not run_times:
         return out
     settings = _run_settings(settings, max(run_times))

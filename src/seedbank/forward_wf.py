@@ -201,6 +201,18 @@ class WFTrajectory:
         return self.j / self.cfg.M
 
 
+def _start_counts(cfg: WFConfig, x0: float, y0: float) -> tuple[int, int]:
+    """The type-0 counts of the nearest representable start i/N, j/M."""
+    if not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
+        raise ValueError("initial frequencies must lie in [0, 1]")
+    return int(round(x0 * cfg.N)), int(round(y0 * cfg.M))
+
+
+def _fixed(i, j, N, M):
+    """Whether both pools are monochrome for one type; for ints or per-lane arrays."""
+    return ((i == 0) & (j == 0)) | ((i == N) & (j == M))
+
+
 def run_trajectory(
     cfg: WFConfig,
     x0: float,
@@ -215,22 +227,21 @@ def run_trajectory(
     pools become monochrome for the same type the remaining records are
     filled with the absorbed state.  Bit-identical rerun for a fixed seed.
     """
-    if not (0.0 <= x0 <= 1.0 and 0.0 <= y0 <= 1.0):
-        raise ValueError("initial frequencies must lie in [0, 1]")
+    i0, j0 = _start_counts(cfg, x0, y0)
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     rng = as_rng(seed)
     N, M = cfg.N, cfg.M
-    state = WFState(i=int(round(x0 * N)), j=int(round(y0 * M)), generation=0)
+    state = WFState(i=i0, j=j0, generation=0)
     stats: dict = {}
     rec_g = [0]
     rec_i = [state.i]
     rec_j = [state.j]
-    fixation = 0 if (state.i, state.j) in ((0, 0), (N, M)) else None
+    fixation = 0 if _fixed(i0, j0, N, M) else None
     for g in range(1, generations + 1):
         if fixation is None:
             state = wf_step(state, cfg, rng, stats)
-            if (state.i, state.j) in ((0, 0), (N, M)):
+            if _fixed(state.i, state.j, N, M):
                 fixation = state.generation
         else:
             state = WFState(i=state.i, j=state.j, generation=g)
@@ -272,42 +283,37 @@ def wf_ensemble(
     reps: int,
     generations: int,
     seed=None,
-    *,
-    stop_at_fixation: bool = True,
 ) -> WFEnsembleResult:
     """Run many spontaneous-model replicates in lockstep (vectorized).
 
-    Fixed runs freeze at their absorbing state; with stop_at_fixation=False
-    every lane runs the full horizon (useful for marginal-law comparisons).
-    Rare coordinated events are not supported here; use run_trajectory.
+    A lane stops drawing once it fixes; its corner is a fixed point of the
+    generation, so stopping changes the stream but not the law.  Rare
+    coordinated events are not supported here; use run_trajectory.
     """
     if cfg.sim_switching is not None and (
         cfg.sim_switching.rate_f > 0 or cfg.sim_switching.rate_d > 0
     ):
         raise ValueError("the vectorized ensemble only covers the spontaneous model")
+    i0, j0 = _start_counts(cfg, x0, y0)
     rng = as_rng(seed)
     N, M = cfg.N, cfg.M
-    i = np.full(reps, int(round(x0 * N)), dtype=np.int64)
-    j = np.full(reps, int(round(y0 * M)), dtype=np.int64)
-    fixed_gen = np.full(reps, -1, dtype=np.int64)
+    i = np.full(reps, i0, dtype=np.int64)
+    j = np.full(reps, j0, dtype=np.int64)
+    fixed_gen = np.where(_fixed(i, j, N, M), 0, -1)
     clamped = 0
-    alive = np.ones(reps, dtype=bool)
-    _flag_fixed(i, j, N, M, fixed_gen, alive, 0, stop_at_fixation)
+    # the live lanes in lane order: ids and counts; a lane leaves these
+    # arrays, its counts going back to i and j, only when it fixes
+    lane = np.flatnonzero(fixed_gen < 0)
+    li, lj = i[lane], j[lane]
     for g in range(1, generations + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+        if lane.size == 0:
             break
-        c_star, n_clamped = _exchange(cfg, rng, idx.size)
+        c_star, n_clamped = _exchange(cfg, rng, lane.size)
         clamped += n_clamped
-        i[idx], j[idx] = _generation(i[idx], j[idx], c_star, c_star, N, M, rng)
-        _flag_fixed(i, j, N, M, fixed_gen, alive, g, stop_at_fixation, idx)
+        li, lj = _generation(li, lj, c_star, c_star, N, M, rng)
+        hit = _fixed(li, lj, N, M)
+        if hit.any():
+            i[lane[hit]], j[lane[hit]], fixed_gen[lane[hit]] = li[hit], lj[hit], g
+            lane, li, lj = lane[~hit], li[~hit], lj[~hit]
+    i[lane], j[lane] = li, lj
     return WFEnsembleResult(i=i, j=j, fixed_generation=fixed_gen, clamped_exchanges=clamped)
-
-
-def _flag_fixed(i, j, N, M, fixed_gen, alive, g, stop_at_fixation, idx=None):
-    scope = idx if idx is not None else np.arange(i.size)
-    mono = ((i[scope] == 0) & (j[scope] == 0)) | ((i[scope] == N) & (j[scope] == M))
-    hit = scope[mono & (fixed_gen[scope] < 0)]
-    fixed_gen[hit] = g
-    if stop_at_fixation:
-        alive[hit] = False

@@ -47,11 +47,13 @@ class SwitchingMeasure:
         for z, w in self.atoms:
             if not 0.0 < z <= 1.0:
                 raise ValueError(f"atom location must lie in (0, 1], got {z}")
-            if w <= 0.0:
-                raise ValueError(f"atom weight must be positive, got {w}")
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"atom weight must be finite and positive, got {w}")
         for a, b, m in self.beta_components:
-            if a <= 0.0 or b <= 0.0 or m <= 0.0:
-                raise ValueError(f"Beta component parameters must be positive, got {(a, b, m)}")
+            if not all(0.0 < v < math.inf for v in (a, b, m)):
+                raise ValueError(
+                    f"Beta component parameters must be finite and positive, got {(a, b, m)}"
+                )
 
     @classmethod
     def zero(cls) -> "SwitchingMeasure":
@@ -194,11 +196,12 @@ class ModelParams:
     lambda_da: SwitchingMeasure = field(default_factory=SwitchingMeasure.zero)
 
     def __post_init__(self):
-        if self.K <= 0.0:
-            raise ValueError(f"relative seed bank size K must be positive, got {self.K}")
+        if not 0.0 < self.K < math.inf:
+            raise ValueError(f"relative seed bank size K must be finite and positive, got {self.K}")
         for name in ("c", "u1", "u2", "u1p", "u2p", "u_active", "u_dormant"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"rate {name} must be nonnegative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"rate {name} must be finite and nonnegative, got {value}")
 
     def is_spontaneous(self) -> bool:
         return self.lambda_ad.is_zero() and self.lambda_da.is_zero()

@@ -73,6 +73,77 @@ def test_round_trip():
     assert parse_config(serialize_config(ExperimentConfig())) == ExperimentConfig()
 
 
+EVERY_KEY_TEXT = """\
+[run]
+seed = 17
+out = every-key
+
+[model]
+c = 0.8
+K = 2.5
+u1 = 0.1
+u2 = 0.2
+u1p = 0.05
+u2p = 0.07
+u_active = 1.25
+u_dormant = 0.5
+
+[to-dormant]
+atom 0.5 0.4
+atom 1.0 0.1
+beta 2.0 3.0 0.25
+
+[to-active]
+atom 0.9 0.1
+beta 0.5 2.0 0.3
+
+[experiment]
+kind = coming-down-scan
+n = 7
+m = 3
+x0 = 0.125
+y0 = 0.875
+pop_size = 64
+generations = 1234
+exchange_mode = fixed
+stop = horizon
+n_list = 10 20 40
+t_probe = 0.025
+times = 0.0 0.1 0.3333333333333333
+xs = 0.1 0.5
+ys = 0.9
+
+[numeric]
+reps = 321
+dt = 0.0025
+T = 3.5
+eps = 0.01
+boundary_tol = 0.001
+noise_model = gaussian
+record_every = 7
+"""
+
+
+def test_header_bytes_are_pinned():
+    # every output file carries this text; a config with every key set and
+    # both measure sections holding an atom and a Beta component
+    cfg = ExperimentConfig(
+        seed=17, out="every-key",
+        model=ModelParams(
+            c=0.8, K=2.5, u1=0.1, u2=0.2, u1p=0.05, u2p=0.07, u_active=1.25, u_dormant=0.5,
+            lambda_ad=SwitchingMeasure(atoms=((0.5, 0.4), (1.0, 0.1)), beta_components=((2.0, 3.0, 0.25),)),
+            lambda_da=SwitchingMeasure(atoms=((0.9, 0.1),), beta_components=((0.5, 2.0, 0.3),)),
+        ),
+        experiment="coming-down-scan", n=7, m=3, x0=0.125, y0=0.875, pop_size=64,
+        generations=1234, exchange_mode="fixed", stop="horizon", n_list=(10, 20, 40),
+        t_probe=0.025, times=(0.0, 0.1, 1 / 3), xs=(0.1, 0.5), ys=(0.9,),
+        reps=321, dt=0.0025, horizon=3.5, jump_cutoff=0.01, boundary_tol=0.001,
+        noise_model="gaussian", record_every=7,
+    )
+    assert serialize_config(cfg) == EVERY_KEY_TEXT
+    assert parse_config(EVERY_KEY_TEXT) == cfg
+
+
 def test_range_error_names_key_and_line():
     text = "[model]\nc = 1.0\nK = -1\n"
     with pytest.raises(ConfigError) as err:
@@ -92,6 +163,15 @@ def test_range_error_names_key_and_line():
         ("[numeric]\nrecord_every = 0\n", [(2, "record_every must be >= 1, got 0")]),
         ("[numeric]\ndt = 0.01\nT = inf\n", [(3, "T must be finite and positive, got inf")]),
         ("[numeric]\ndt = inf\n", [(2, "dt must be finite and positive, got inf")]),
+        ("[numeric]\ndt = 1e-13\nT = 1e-7\n", [(2, "dt must be at least 2e-12, got 1e-13")]),
+        ("[model]\nK = inf\n", [(2, "relative seed bank size K must be finite and positive, got inf")]),
+        ("[model]\nK = nan\n", [(2, "relative seed bank size K must be finite and positive, got nan")]),
+        ("[model]\nc = 1.0\nc = inf\n", [(3, "rate c must be finite and nonnegative, got inf")]),
+        ("[model]\nu2p = nan\n", [(2, "rate u2p must be finite and nonnegative, got nan")]),
+        (
+            "[to-dormant]\natom 0.5 inf\n",
+            [(2, "invalid atom line 'atom 0.5 inf': atom weight must be finite and positive, got inf")],
+        ),
         ("[numeric]\ndt = 0.5\nT = 0.25\n", [(2, "dt must not exceed T, got dt = 0.5 and T = 0.25")]),
         (
             "[experiment]\nkind = duality\n\n[numeric]\ndt = 3.0\n",

@@ -33,6 +33,10 @@ def test_settings_validation():
         IntegratorSettings(horizon=math.inf, dt=0.01)
     with pytest.raises(ValueError):
         IntegratorSettings(horizon=1.0, dt=2.0)
+    # below twice the knot merge spacing, grid points would merge into knots
+    with pytest.raises(ValueError, match="need 2e-12 <= dt <= horizon"):
+        IntegratorSettings(horizon=1e-6, dt=1e-12)
+    assert len(_knots(1e-6, 2e-12, ())[0]) == 500_000
     with pytest.raises(ValueError):
         IntegratorSettings(horizon=1.0, jump_cutoff=1.5)
     for tol in (-0.1, 0.5, math.nan):
@@ -42,6 +46,18 @@ def test_settings_validation():
         IntegratorSettings(horizon=1.0, noise_model="exact")
     with pytest.raises(ValueError):
         DiffusionState(1.2, 0.0)
+    # every engine checks its start by the DiffusionState rule
+    st = IntegratorSettings(horizon=1.0, dt=0.1)
+    for bad in ((1.5, 0.5), (0.3, 1.7), (-0.1, 0.5), (math.nan, 0.5)):
+        for run in (
+            lambda: batch_paths(P11, *bad, st, 10, seed=0),
+            lambda: fixation_stats(P11, bad, 1.0, 10, seed=0),
+            lambda: duality_lhs_grid(P11, *bad, [(1, 0)], [0.0, 0.5], 10, seed=0),
+            lambda: duality_lhs_grid(P11, *bad, [(1, 0)], [0.0], 10, seed=0),
+            lambda: integrate(P11, bad, st, seed=0),
+        ):
+            with pytest.raises(ValueError, match="unit square"):
+                run()
 
 
 def test_absorbing_corner_is_constant():

@@ -29,6 +29,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WFConfig(N=10, sim_switching=SimSwitching(rate_f=20.0, mu_f=SwitchingMeasure.atom(0.5, 1.0)))
     assert WFConfig(N=100, K=3.0).M == 33
+    # both runners check the start by one rule
+    for start in ((1.5, 0.5), (0.5, -0.1), (math.nan, 0.5)):
+        with pytest.raises(ValueError, match=r"initial frequencies must lie in \[0, 1\]"):
+            wf_ensemble(WFConfig(N=10), *start, 5, 10, seed=0)
+        with pytest.raises(ValueError, match=r"initial frequencies must lie in \[0, 1\]"):
+            run_trajectory(WFConfig(N=10), *start, 10, seed=0)
 
 
 def test_sim_switching_needs_probability_measures():
@@ -98,7 +104,7 @@ def test_trajectory_determinism_and_recording():
 
 def test_martingale_proxy_flat():
     cfg = WFConfig(N=100, K=2.0, c=1.0)
-    res = wf_ensemble(cfg, 0.3, 0.7, 4_000, 300, seed=5, stop_at_fixation=False)
+    res = wf_ensemble(cfg, 0.3, 0.7, 4_000, 300, seed=5)
     vals = 2.0 * res.i / 100 + res.j / cfg.M
     target = 2.0 * 0.3 + 0.7
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -172,7 +178,7 @@ def test_scaling_toward_diffusion_law():
     dists = []
     for N in (25, 50, 200):
         cfg = WFConfig(N=N, K=1.0, c=1.0)
-        res = wf_ensemble(cfg, 0.3, 0.7, 20_000, int(0.2 * N), seed=12, stop_at_fixation=False)
+        res = wf_ensemble(cfg, 0.3, 0.7, 20_000, int(0.2 * N), seed=12)
         dists.append(scistats.ks_2samp(res.i / N, ref).statistic)
     assert dists[2] < dists[0]
     assert dists[2] < 0.05

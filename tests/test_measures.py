@@ -41,6 +41,19 @@ def test_validation():
         SwitchingMeasure(atoms=((0.5, -1.0),))
     with pytest.raises(ValueError):
         SwitchingMeasure(beta_components=((2.0, 0.0, 1.0),))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="weight must be finite and positive"):
+            SwitchingMeasure(atoms=((0.5, bad),))
+        with pytest.raises(ValueError, match="atom location"):
+            SwitchingMeasure(atoms=((bad, 1.0),))
+        for comp in ((bad, 2.0, 1.0), (2.0, bad, 1.0), (2.0, 2.0, bad)):
+            with pytest.raises(ValueError, match="Beta component parameters must be finite and positive"):
+                SwitchingMeasure(beta_components=(comp,))
+        with pytest.raises(ValueError, match="K must be finite and positive"):
+            ModelParams(K=bad)
+        for rate in ("c", "u1", "u2", "u1p", "u2p", "u_active", "u_dormant"):
+            with pytest.raises(ValueError, match=f"rate {rate} must be finite and nonnegative"):
+                ModelParams(**{rate: bad})
     # atoms at 1 are allowed
     SwitchingMeasure.atom(1.0, 2.0)
 
