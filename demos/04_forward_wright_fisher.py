@@ -24,10 +24,9 @@ print(f"fixed at generation {traj.fixation_generation}")
 print("\nfixation frequencies over 10000 runs vs (y + xK)/(1 + K):")
 for K, x0, y0 in [(1.0, 0.3, 0.7), (2.0, 0.3, 0.7), (0.5, 0.5, 0.5)]:
     wf = WFConfig(N=100, K=K, c=1.0, exchange_mode="binomial")
-    res = wf_ensemble(wf, x0, y0, 10_000, 20_000, seed=12)
-    ones, zeros, unfixed = res.fixation_counts(wf)
+    fix = wf_ensemble(wf, x0, y0, 10_000, 20_000, seed=12).fixation
     target = (y0 + x0 * K) / (1.0 + K)
-    print(f"  K={K:3}: measured {ones / 10_000:.4f}  target {target:.4f}  (unfixed: {unfixed})")
+    print(f"  K={K:3}: measured {fix.frac_11:.4f}  target {target:.4f}  (unfixed: {fix.unfixed})")
 
 # K * x + y is conserved in expectation on the way to fixation.
 wf = WFConfig(N=100, K=2.0, c=1.0)

@@ -65,6 +65,11 @@ _GRID_STARTS = tuple((x, y) for x in (0.2, 0.8) for y in (0.2, 0.8))
 _GRID_TIMES = (0.1, 0.5, 2.0)
 
 
+def _stream(seed, *path) -> np.random.Generator:
+    """The criteria's random stream at ``path``, in the acceptance stream domain."""
+    return substream(seed, _DOMAINS["acceptance"], *path)
+
+
 @dataclass
 class CriterionResult:
     ident: str
@@ -105,9 +110,7 @@ def _c01_rate_tables(seed) -> CriterionResult:
 def _c02_first_step(seed) -> CriterionResult:
     p = ModelParams(c=1.0, K=1.0)
     oracle = expected_tmrca_first_step(BlockCountState(2, 0), p)
-    res = blockcount_ensemble(
-        BlockCountState(2, 0), p, 100_000, seed=substream(seed, 9, 2)
-    )
+    res = blockcount_ensemble(BlockCountState(2, 0), p, 100_000, seed=_stream(seed, 2))
     mc = float(res.absorption_time.mean())
     ok = abs(oracle - 4.0) <= 1e-10 and abs(mc - 4.0) <= 0.02 * 4.0
     return CriterionResult(
@@ -124,7 +127,7 @@ def _duality_grid_check(params, reps_lhs, rhs_mc_reps, seed, tol_extra):
     for i, (x, y) in enumerate(_GRID_STARTS):
         lhs = duality_lhs_grid(
             params, x, y, DUALITY_EXPONENTS, list(_GRID_TIMES), reps_lhs,
-            seed=substream(seed, 9, 30, i), settings=settings,
+            seed=_stream(seed, 30, i), settings=settings,
         )
         for n, m in DUALITY_EXPONENTS:
             for k, t in enumerate(_GRID_TIMES):
@@ -134,7 +137,7 @@ def _duality_grid_check(params, reps_lhs, rhs_mc_reps, seed, tol_extra):
                 else:
                     rhs, rhs_se = duality_rhs(
                         n, m, x, y, params, t, method="mc", reps=rhs_mc_reps,
-                        seed=substream(seed, 9, 31, i, n, m, k),
+                        seed=_stream(seed, 31, i, n, m, k),
                     )
                 bound = 3.0 * math.hypot(se, rhs_se) + tol_extra
                 margin = abs(mean - rhs) - bound
@@ -180,25 +183,21 @@ def _c05_fixation_law(seed) -> CriterionResult:
         target = (y + x * K) / (1.0 + K)
         p = ModelParams(c=1.0, K=K)
         fs = fixation_stats(
-            p, (x, y), 200.0, 10_000, seed=substream(seed, 9, 50, i),
+            p, (x, y), 200.0, 10_000, seed=_stream(seed, 50, i),
             settings=settings, corner_tol=1e-6,
         )
-        diff_err = abs(fs.frac_11 - target)
-        diff_ok = diff_err <= 3.0 * fs.se_11() + 0.01
+        diff_ok = abs(fs.frac_11 - target) <= 3.0 * fs.se_11() + 0.01
 
         wf = WFConfig(N=100, K=K, c=1.0, exchange_mode="binomial")
-        res = wf_ensemble(wf, x, y, 10_000, 20_000, seed=substream(seed, 9, 51, i))
-        ones, zeros, unfixed = res.fixation_counts(wf)
-        pw = ones / 10_000
-        se_w = math.sqrt(pw * (1.0 - pw) / 10_000)
-        wf_ok = abs(pw - target) <= 3.0 * se_w + 0.02
+        wf_fix = wf_ensemble(wf, x, y, 10_000, 20_000, seed=_stream(seed, 51, i)).fixation
+        wf_ok = abs(wf_fix.frac_11 - target) <= 3.0 * wf_fix.se_11() + 0.02
 
         detail[f"x{x}_y{y}_K{K}"] = {
             "target": target,
             "diffusion_freq": fs.frac_11,
             "diffusion_unfixed": fs.unfixed,
-            "wf_freq": pw,
-            "wf_unfixed": unfixed,
+            "wf_freq": wf_fix.frac_11,
+            "wf_unfixed": wf_fix.unfixed,
         }
         ok = ok and diff_ok and wf_ok
     return CriterionResult("05", "fixation law, diffusion and forward model", ok, detail)
@@ -211,7 +210,7 @@ def _c06_delay(seed) -> CriterionResult:
         settings = IntegratorSettings(horizon=5.0, dt=dt)
         vals = [
             delay_residual(
-                integrate(p, DiffusionState(0.3, 0.7), settings, seed=substream(seed, 9, 60, level, r)),
+                integrate(p, DiffusionState(0.3, 0.7), settings, seed=_stream(seed, 60, level, r)),
                 p,
             )
             for r in range(100)
@@ -233,7 +232,7 @@ def _c07_martingale(seed) -> CriterionResult:
     p = ModelParams(c=1.0, K=1.0)
     rows = martingale_drift(
         p, (0.3, 0.7), 10.0, [1.0, 5.0, 10.0], 10_000,
-        seed=substream(seed, 9, 70), settings=IntegratorSettings(horizon=10.0, dt=1e-3),
+        seed=_stream(seed, 70), settings=IntegratorSettings(horizon=10.0, dt=1e-3),
     )
     target = 1.0 * 0.3 + 0.7
     detail = {f"t{t}": {"mean": mn, "stderr": se} for t, mn, se in rows}
@@ -243,7 +242,7 @@ def _c07_martingale(seed) -> CriterionResult:
 
 def _c08_tmrca_scaling(seed) -> CriterionResult:
     p = ModelParams(c=1.0, K=1.0)
-    rows = tmrca_loglog_scan(p, [100, 1000, 10_000], 1000, seed=substream(seed, 9, 80))
+    rows = tmrca_loglog_scan(p, [100, 1000, 10_000], 1000, seed=_stream(seed, 80))
     means = [r.mean for r in rows]
     ratios = [r.ratio for r in rows]
     ok = means == sorted(means) and means[0] < means[-1] and max(ratios) / min(ratios) < 2.0
@@ -259,11 +258,11 @@ def _c09_coming_down(seed) -> CriterionResult:
     lam = SwitchingMeasure.atom(0.5, 1.0)
     stable = coming_down_scan(
         ModelParams(c=0.0, K=1.0, lambda_ad=lam), [100, 1000, 10_000], 0.05, 2000,
-        seed=substream(seed, 9, 90),
+        seed=_stream(seed, 90),
     )
     growing = coming_down_scan(
         ModelParams(c=0.5, K=1.0, lambda_ad=lam), [100, 1000, 10_000], 0.05, 2000,
-        seed=substream(seed, 9, 91),
+        seed=_stream(seed, 91),
     )
     tail_ratio = stable[-1].mean / stable[-2].mean
     grow_means = [r.mean for r in growing]
@@ -285,7 +284,7 @@ def _c10_mutation_oracle(seed) -> CriterionResult:
     reps = 100_000
     seg = np.empty(reps)
     for r in range(reps):
-        rng = substream(seed, 9, 100, r)
+        rng = _stream(seed, 100, r)
         g = simulate_coalescent(4, 0, p, seed=rng)
         muts = drop_mutations(g, p.u_active, p.u_dormant, seed=rng)
         seg[r] = len(muts)
@@ -314,7 +313,7 @@ def _c11_statistics(seed) -> CriterionResult:
     p = ModelParams(c=1.0, K=1.0, u_active=1.5, u_dormant=0.5)
     mismatches = 0
     for r in range(1000):
-        rng = substream(seed, 9, 110, r)
+        rng = _stream(seed, 110, r)
         g = simulate_coalescent(5, 1, p, seed=rng)
         muts = drop_mutations(g, p.u_active, p.u_dormant, seed=rng)
         spectrum = sfs(g, muts)
@@ -344,7 +343,7 @@ def _c12_boundary_proxy(seed) -> CriterionResult:
     p_mut = ModelParams(c=1.0, K=1.0, u2=0.6)
     settings = IntegratorSettings(horizon=50.0, dt=1e-3)
     out = boundary_hitting_stats(
-        p_mut, (0.05, 0.05), 50.0, 3000, seed=substream(seed, 9, 120), settings=settings
+        p_mut, (0.05, 0.05), 50.0, 3000, seed=_stream(seed, 120), settings=settings
     )
     full, half = out[1e-3], out[5e-4]
     halving_ok = half["x0"] <= full["x0"] / 2.0
@@ -352,7 +351,7 @@ def _c12_boundary_proxy(seed) -> CriterionResult:
 
     p0 = ModelParams(c=1.0, K=1.0)
     out0 = boundary_hitting_stats(
-        p0, (0.05, 0.05), 50.0, 1000, seed=substream(seed, 9, 121), settings=settings
+        p0, (0.05, 0.05), 50.0, 1000, seed=_stream(seed, 121), settings=settings
     )
     positive_ok = out0[1e-3]["x0"] > 0.0 and out0[1e-3]["x1"] > 0.0
     return CriterionResult(

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -80,6 +80,12 @@ def write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
         f.write("\n")
 
 
+def _estimate(values, **extra) -> dict:
+    """A summary entry: the mean and standard error of ``values``, plus ``extra``."""
+    mean, se = mean_stderr(values)
+    return {"mean": mean, "stderr": se, **extra}
+
+
 def _settings(cfg: ExperimentConfig) -> IntegratorSettings:
     return IntegratorSettings(
         horizon=cfg.horizon,
@@ -92,16 +98,16 @@ def _settings(cfg: ExperimentConfig) -> IntegratorSettings:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners; each draws its random streams from ``stream(*path)``,
+# the run's seed and its experiment's domain bound by ``run_experiment``
 # ---------------------------------------------------------------------------
 
 
-def run_coalescent(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def run_coalescent(cfg: ExperimentConfig, stream, out: Path, workers: int) -> None:
     horizon = cfg.horizon if cfg.stop == "horizon" else None
-    dom = _DOMAINS["coalescent"]
 
     def replicate(r: int):
-        return simulate_coalescent(cfg.n, cfg.m, cfg.model, horizon=horizon, seed=substream(cfg.seed, dom, r))
+        return simulate_coalescent(cfg.n, cfg.m, cfg.model, horizon=horizon, seed=stream(r))
 
     first = replicate(0)
     (out / "genealogy.jsonl").write_text(first.to_jsonl())
@@ -119,26 +125,22 @@ def run_coalescent(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             mrca_count += 1
     payload: dict = {"reps": cfg.reps, "reached_mrca": mrca_count}
     if t_list:
-        mean, se = mean_stderr(t_list)
-        payload["tmrca"] = {"mean": mean, "stderr": se}
-    for name, vals in (("active_length", la_list), ("dormant_length", ld_list)):
-        mean, se = mean_stderr(vals)
-        payload[name] = {"mean": mean, "stderr": se}
+        payload["tmrca"] = _estimate(t_list)
+    payload["active_length"] = _estimate(la_list)
+    payload["dormant_length"] = _estimate(ld_list)
     write_json(out / "summary.json", payload, cfg)
 
 
-def run_blockcount(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    dom = _DOMAINS["blockcount"]
+def run_blockcount(cfg: ExperimentConfig, stream, out: Path, workers: int) -> None:
     s0 = BlockCountState(cfg.n, cfg.m)
     horizon = cfg.horizon if cfg.stop == "horizon" else None
-    path = simulate_blockcount(s0, cfg.model, horizon=horizon, seed=substream(cfg.seed, dom, 0))
+    path = simulate_blockcount(s0, cfg.model, horizon=horizon, seed=stream(0))
     write_csv(out / "path.csv", ("t", "n", "m"), [(t, s.n, s.m) for t, s in path], cfg)
-    res = blockcount_ensemble(s0, cfg.model, cfg.reps, horizon=horizon, seed=substream(cfg.seed, dom, 1))
+    res = blockcount_ensemble(s0, cfg.model, cfg.reps, horizon=horizon, seed=stream(1))
     payload: dict = {"reps": cfg.reps}
     absorbed = res.absorption_time[np.isfinite(res.absorption_time)]
     if absorbed.size:
-        mean, se = mean_stderr(absorbed)
-        payload["absorption_time"] = {"mean": mean, "stderr": se, "absorbed": int(absorbed.size)}
+        payload["absorption_time"] = _estimate(absorbed, absorbed=int(absorbed.size))
     if horizon is None and mrca_reachable(s0, cfg.model):
         payload["first_step_expected_tmrca"] = expected_tmrca_first_step(s0, cfg.model)
         ea, ed = expected_branch_lengths_first_step(s0, cfg.model)
@@ -146,30 +148,26 @@ def run_blockcount(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     write_json(out / "summary.json", payload, cfg)
 
 
-def run_forward_wf(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    dom = _DOMAINS["forward-wf"]
+def run_forward_wf(cfg: ExperimentConfig, stream, out: Path, workers: int) -> None:
     wf = WFConfig(N=cfg.pop_size, K=cfg.model.K, c=cfg.model.c, exchange_mode=cfg.exchange_mode)
     traj = run_trajectory(
         wf, cfg.x0, cfg.y0, cfg.generations, record_every=cfg.record_every,
-        seed=substream(cfg.seed, dom, 0),
+        seed=stream(0),
     )
     rows = [
         (int(g), int(i), int(j), i / wf.N, j / wf.M)
         for g, i, j in zip(traj.generations, traj.i, traj.j)
     ]
     write_csv(out / "trajectory.csv", ("generation", "i", "j", "x", "y"), rows, cfg)
-    res = wf_ensemble(
-        wf, cfg.x0, cfg.y0, cfg.reps, cfg.generations, seed=substream(cfg.seed, dom, 1)
-    )
-    ones, zeros, unfixed = res.fixation_counts(wf)
-    p = ones / cfg.reps
+    res = wf_ensemble(wf, cfg.x0, cfg.y0, cfg.reps, cfg.generations, seed=stream(1))
+    fix = res.fixation
     payload = {
         "reps": cfg.reps,
-        "fixed_all_type0": ones,
-        "fixed_all_type1": zeros,
-        "unfixed": unfixed,
-        "fixation_frequency": p,
-        "fixation_stderr": math.sqrt(p * (1.0 - p) / cfg.reps),
+        "fixed_all_type0": fix.fixed_11,
+        "fixed_all_type1": fix.fixed_00,
+        "unfixed": fix.unfixed,
+        "fixation_frequency": fix.frac_11,
+        "fixation_stderr": fix.se_11(),
         "target_frequency": (cfg.y0 + cfg.x0 * cfg.model.K) / (1.0 + cfg.model.K),
         "clamped_exchanges": res.clamped_exchanges,
         "trajectory_fixation_generation": traj.fixation_generation,
@@ -177,11 +175,8 @@ def run_forward_wf(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     write_json(out / "fixation.json", payload, cfg)
 
 
-def run_diffusion(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    dom = _DOMAINS["diffusion"]
-    traj = integrate(
-        cfg.model, (cfg.x0, cfg.y0), _settings(cfg), seed=substream(cfg.seed, dom, 0)
-    )
+def run_diffusion(cfg: ExperimentConfig, stream, out: Path, workers: int) -> None:
+    traj = integrate(cfg.model, (cfg.x0, cfg.y0), _settings(cfg), seed=stream(0))
     # streamed to the file: no list of row tuples beside the arrays
     rows = zip(map(float, traj.times), map(float, traj.x), map(float, traj.y))
     write_csv(out / "trajectory.csv", ("t", "x", "y"), rows, cfg)
@@ -199,13 +194,12 @@ def run_diffusion(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
 
 def _duality_task(args) -> list[tuple]:
-    cfg, task_idx, x, y = args
-    dom = _DOMAINS["duality"]
+    cfg, stream, task_idx, x, y = args
     times = [float(t) for t in cfg.times]
     # the run's horizon is the largest requested time, not T
     lhs = duality_lhs_grid(
         cfg.model, x, y, DUALITY_EXPONENTS, times, cfg.reps,
-        seed=substream(cfg.seed, dom, task_idx, 0), settings=_settings(cfg),
+        seed=stream(task_idx, 0), settings=_settings(cfg),
     )
     rows = []
     for n, m in DUALITY_EXPONENTS:
@@ -216,9 +210,10 @@ def _duality_task(args) -> list[tuple]:
     return rows
 
 
-def run_duality(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+def run_duality(cfg: ExperimentConfig, stream, out: Path, workers: int) -> None:
+    # a task is plain values and a partial of a module function, so it pickles
     tasks = [
-        (cfg, i, float(x), float(y))
+        (cfg, stream, i, float(x), float(y))
         for i, (x, y) in enumerate((x, y) for x in cfg.xs for y in cfg.ys)
     ]
     if workers > 1:
@@ -235,10 +230,7 @@ def run_duality(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     )
 
 
-def run_tmrca_scan(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    rows = tmrca_loglog_scan(
-        cfg.model, cfg.n_list, cfg.reps, seed=substream(cfg.seed, _DOMAINS["tmrca-scan"], 0)
-    )
+def _write_scan(rows, out: Path, cfg: ExperimentConfig) -> None:
     write_csv(
         out / "scan.csv",
         ("n", "mean", "stderr", "ratio"),
@@ -247,21 +239,16 @@ def run_tmrca_scan(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     )
 
 
-def run_coming_down_scan(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    rows = coming_down_scan(
-        cfg.model, cfg.n_list, cfg.t_probe, cfg.reps,
-        seed=substream(cfg.seed, _DOMAINS["coming-down-scan"], 0),
-    )
-    write_csv(
-        out / "scan.csv",
-        ("n", "mean", "stderr", "ratio"),
-        [(r.n, r.mean, r.stderr, r.ratio) for r in rows],
-        cfg,
-    )
+def run_tmrca_scan(cfg: ExperimentConfig, stream, out: Path, workers: int) -> None:
+    _write_scan(tmrca_loglog_scan(cfg.model, cfg.n_list, cfg.reps, seed=stream(0)), out, cfg)
 
 
-def run_stats(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    dom = _DOMAINS["stats"]
+def run_coming_down_scan(cfg: ExperimentConfig, stream, out: Path, workers: int) -> None:
+    rows = coming_down_scan(cfg.model, cfg.n_list, cfg.t_probe, cfg.reps, seed=stream(0))
+    _write_scan(rows, out, cfg)
+
+
+def run_stats(cfg: ExperimentConfig, stream, out: Path, workers: int) -> None:
     model = cfg.model
     sample = cfg.n + cfg.m
     if sample < 2:
@@ -269,7 +256,7 @@ def run_stats(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     sfs_rows = []
     seg, sing, tp, h, d = [], [], [], [], []
     for r in range(cfg.reps):
-        rng = substream(cfg.seed, dom, r)
+        rng = stream(r)
         g = simulate_coalescent(cfg.n, cfg.m, model, seed=rng)
         muts = drop_mutations(g, model.u_active, model.u_dormant, seed=rng)
         spectrum = sfs(g, muts)
@@ -285,16 +272,14 @@ def run_stats(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         sfs_rows,
         cfg,
     )
-    payload: dict = {"reps": cfg.reps}
-    for name, vals in (
-        ("segregating_sites", seg),
-        ("singletons", sing),
-        ("theta_pi", tp),
-        ("fay_wu_h", h),
-        ("fu_li_d_numerator", d),
-    ):
-        mean, se = mean_stderr(vals)
-        payload[name] = {"mean": mean, "stderr": se}
+    payload: dict = {
+        "reps": cfg.reps,
+        "segregating_sites": _estimate(seg),
+        "singletons": _estimate(sing),
+        "theta_pi": _estimate(tp),
+        "fay_wu_h": _estimate(h),
+        "fu_li_d_numerator": _estimate(d),
+    }
     s0 = BlockCountState(cfg.n, cfg.m)
     if mrca_reachable(s0, model):
         ea, ed = expected_branch_lengths_first_step(s0, model)
@@ -340,8 +325,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> int:
     if cfg.experiment == "acceptance":
         ok = run_acceptance_experiment(cfg, out)
         return 0 if ok else 1
+    # looked up now, not at import, so a wrapped substream sees every call
+    stream = functools.partial(substream, cfg.seed, _DOMAINS[cfg.experiment])
     try:
-        _RUNNERS[cfg.experiment](cfg, out, workers)
+        _RUNNERS[cfg.experiment](cfg, stream, out, workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -221,10 +221,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
-    model = ModelParams(
-        **{attr: SwitchingMeasure(**measures[sec]) for sec, attr in _MEASURES.items()},
-        **model_fields,
-    )
+    try:
+        model = ModelParams(
+            **{attr: SwitchingMeasure(**measures[sec]) for sec, attr in _MEASURES.items()},
+            **model_fields,
+        )
+    except ValueError as exc:  # c*K, the one model check across two lines
+        raise ConfigError([(max(lines.get("c", 1), lines.get("K", 1)), str(exc))]) from exc
     try:
         return ExperimentConfig(model=model, **cfg_fields)
     except _RangeError as exc:

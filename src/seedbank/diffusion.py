@@ -232,16 +232,15 @@ def _drift_coefficients(params: ModelParams, eps: float):
     )
 
 
-def _euler_scalar(x, y, h, coeffs, noise, binomial, rng):
+def _euler_scalar(x, y, h, coeffs, binomial, rng):
     """``integrate``'s Euler step of length h from (x, y), clamped to the unit square."""
     u1, u2, u1p, u2p, pull_f, pull_d = coeffs
     xn = x + (-u1 * x + u2 * (1.0 - x) + pull_f * (y - x)) * h
-    if noise:
-        if binomial:
-            n_eff = max(int(round(1.0 / h)), 1)
-            xn = float(rng.binomial(n_eff, min(max(xn, 0.0), 1.0))) / n_eff
-        else:
-            xn += math.sqrt(max(x * (1.0 - x), 0.0)) * math.sqrt(h) * float(rng.standard_normal())
+    if binomial:
+        n_eff = max(int(round(1.0 / h)), 1)
+        xn = float(rng.binomial(n_eff, min(max(xn, 0.0), 1.0))) / n_eff
+    else:
+        xn += math.sqrt(max(x * (1.0 - x), 0.0)) * math.sqrt(h) * float(rng.standard_normal())
     yn = y + (-u1p * y + u2p * (1.0 - y) + pull_d * (x - y)) * h
     return min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0)
 
@@ -337,7 +336,6 @@ def integrate(
     settings: IntegratorSettings,
     seed=None,
     *,
-    noise: bool = True,
     normals: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Integrate one path on [0, horizon] and record it.
@@ -347,9 +345,9 @@ def integrate(
     to land on each jump time and applying the jump.  The state is clamped
     to [0, 1]^2 after every update.  Deterministic given the seed.
 
-    ``noise=False`` drops the Brownian term (diagnostic).  ``normals`` feeds
-    an explicit standard-normal sequence instead of the generator's (only
-    allowed without jump measures; used for coupled step-size comparisons).
+    ``normals`` feeds an explicit standard-normal sequence instead of the
+    generator's (only allowed without jump measures; used for coupled
+    step-size comparisons, and all zeros drop the Brownian term).
     """
     x, y = _as_pair(s0)
     rng = as_rng(seed)
@@ -378,7 +376,7 @@ def integrate(
                 t, z, is_f = ev_t[ev_pos], ev_z[ev_pos], ev_f[ev_pos]
                 ev_pos += 1
                 if t > clock:  # shorten the step to land on the jump
-                    x, y = _euler_scalar(x, y, t - clock, coeffs, noise, binomial, source)
+                    x, y = _euler_scalar(x, y, t - clock, coeffs, binomial, source)
                     clock = t
                 if is_f:
                     x = min(max(x + z * (y - x), 0.0), 1.0)
@@ -386,7 +384,7 @@ def integrate(
                     y = min(max(y + z * (x - y), 0.0), 1.0)
                 jumps.append((t, F_TYPE if is_f else D_TYPE, z))
             if t_cur > clock:
-                x, y = _euler_scalar(x, y, t_cur - clock, coeffs, noise, binomial, source)
+                x, y = _euler_scalar(x, y, t_cur - clock, coeffs, binomial, source)
                 clock = t_cur
             if (x == 0.0 and y == 0.0 and abs00) or (x == 1.0 and y == 1.0 and abs11):
                 frozen = True  # exact fixed point of every term; path is constant now
@@ -683,6 +681,8 @@ def boundary_hitting_stats(
 
 @dataclass
 class FixationStats:
+    """Corner counts of a batch of runs, from ``fixation_stats`` or ``wf_ensemble``."""
+
     reps: int
     fixed_11: int
     fixed_00: int

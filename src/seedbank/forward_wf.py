@@ -24,6 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .diffusion import FixationStats
 from .measures import SwitchingMeasure, sample_location, total_mass
 from .streams import as_rng
 
@@ -55,8 +56,10 @@ class SimSwitching:
     mu_d: SwitchingMeasure = SwitchingMeasure()
 
     def __post_init__(self):
-        if self.rate_f < 0.0 or self.rate_d < 0.0:
-            raise ValueError("event rates must be nonnegative")
+        if not (0.0 <= self.rate_f < math.inf and 0.0 <= self.rate_d < math.inf):
+            raise ValueError(
+                f"event rates must be finite and nonnegative, got {self.rate_f} and {self.rate_d}"
+            )
         if self.rate_f > 0.0 and not math.isclose(total_mass(self.mu_f), 1.0, rel_tol=1e-9):
             raise ValueError("mu_f must be normalized to a probability measure")
         if self.rate_d > 0.0 and not math.isclose(total_mass(self.mu_d), 1.0, rel_tol=1e-9):
@@ -85,10 +88,10 @@ class WFConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if self.K <= 0.0:
-            raise ValueError("K must be positive")
-        if self.c < 0.0:
-            raise ValueError("c must be nonnegative")
+        if not 0.0 < self.K < math.inf:
+            raise ValueError(f"K must be finite and positive, got {self.K}")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"c must be finite and nonnegative, got {self.c}")
         if self.exchange_mode not in ("fixed", "binomial"):
             raise ValueError(f"unknown exchange mode {self.exchange_mode!r}")
         if self.M < 1:
@@ -267,13 +270,7 @@ class WFEnsembleResult:
     j: np.ndarray
     fixed_generation: np.ndarray  # -1 where the run did not fix
     clamped_exchanges: int
-
-    def fixation_counts(self, cfg: WFConfig) -> tuple[int, int, int]:
-        """(fixed at all type 0, fixed at all type 1, unfixed)."""
-        fixed = self.fixed_generation >= 0
-        ones = int(np.sum(fixed & (self.i == cfg.N)))
-        zeros = int(np.sum(fixed & (self.i == 0)))
-        return ones, zeros, int(np.sum(~fixed))
+    fixation: FixationStats  # fixed_11: all type 0 (x = y = 1); fixed_00: all type 1
 
 
 def wf_ensemble(
@@ -316,4 +313,10 @@ def wf_ensemble(
             i[lane[hit]], j[lane[hit]], fixed_gen[lane[hit]] = li[hit], lj[hit], g
             lane, li, lj = lane[~hit], li[~hit], lj[~hit]
     i[lane], j[lane] = li, lj
-    return WFEnsembleResult(i=i, j=j, fixed_generation=fixed_gen, clamped_exchanges=clamped)
+    fixed = fixed_gen >= 0
+    ones = int(np.count_nonzero(fixed & (i == N)))
+    zeros = int(np.count_nonzero(fixed & (i == 0)))
+    return WFEnsembleResult(
+        i=i, j=j, fixed_generation=fixed_gen, clamped_exchanges=clamped,
+        fixation=FixationStats(reps=reps, fixed_11=ones, fixed_00=zeros, unfixed=reps - ones - zeros),
+    )

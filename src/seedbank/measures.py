@@ -202,6 +202,10 @@ class ModelParams:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"rate {name} must be finite and nonnegative, got {value}")
+        if not self.c * self.K < math.inf:
+            raise ValueError(
+                f"dormant-to-active rate c*K must be finite, got c = {self.c} and K = {self.K}"
+            )
 
     def is_spontaneous(self) -> bool:
         return self.lambda_ad.is_zero() and self.lambda_da.is_zero()

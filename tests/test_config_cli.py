@@ -168,6 +168,10 @@ def test_range_error_names_key_and_line():
         ("[model]\nK = nan\n", [(2, "relative seed bank size K must be finite and positive, got nan")]),
         ("[model]\nc = 1.0\nc = inf\n", [(3, "rate c must be finite and nonnegative, got inf")]),
         ("[model]\nu2p = nan\n", [(2, "rate u2p must be finite and nonnegative, got nan")]),
+        *(
+            (text, [(3, "dormant-to-active rate c*K must be finite, got c = 10.0 and K = 1e+308")])
+            for text in ("[model]\nc = 10\nK = 1e308\n", "[model]\nK = 1e308\nc = 10\n")
+        ),
         (
             "[to-dormant]\natom 0.5 inf\n",
             [(2, "invalid atom line 'atom 0.5 inf': atom weight must be finite and positive, got inf")],

@@ -69,8 +69,9 @@ def test_absorbing_corner_is_constant():
 
 def test_no_noise_matches_linear_ode():
     # eigenvalues 0 and -2 for c = K = 1: x(t) = 1/2 + e^{-2t}/2 from (1, 0)
-    st = IntegratorSettings(horizon=2.0, dt=1e-4)
-    tr = integrate(P11, DiffusionState(1.0, 0.0), st, seed=0, noise=False)
+    # all-zero normals drop the Brownian term
+    st = IntegratorSettings(horizon=2.0, dt=1e-4, noise_model="gaussian")
+    tr = integrate(P11, DiffusionState(1.0, 0.0), st, normals=np.zeros(20_000))
     ref_x = 0.5 + 0.5 * np.exp(-2 * tr.times)
     ref_y = 0.5 - 0.5 * np.exp(-2 * tr.times)
     assert np.abs(tr.x - ref_x).max() <= 5e-4
@@ -322,7 +323,7 @@ def test_strong_order_with_shared_noise():
         xs = {}
         for dt, normals in ((dt0, coarse), (dt0 / 2, mid), (dt0 / 4, fine)):
             st = IntegratorSettings(horizon=T, dt=dt, noise_model="gaussian")
-            tr = integrate(P11, DiffusionState(0.4, 0.6), st, noise=True, normals=normals)
+            tr = integrate(P11, DiffusionState(0.4, 0.6), st, normals=normals)
             xs[dt] = tr.x[-1]
         diffs_01.append(abs(xs[dt0] - xs[dt0 / 2]))
         diffs_12.append(abs(xs[dt0 / 2] - xs[dt0 / 4]))

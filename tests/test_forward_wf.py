@@ -29,6 +29,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WFConfig(N=10, sim_switching=SimSwitching(rate_f=20.0, mu_f=SwitchingMeasure.atom(0.5, 1.0)))
     assert WFConfig(N=100, K=3.0).M == 33
+    # nan and inf are refused, as ModelParams refuses them
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="c must be finite and nonnegative"):
+            WFConfig(N=50, c=bad)
+        with pytest.raises(ValueError, match="K must be finite and positive"):
+            WFConfig(N=50, K=bad)
+        half = SwitchingMeasure.atom(0.5, 1.0)
+        for rates in ({"rate_f": bad}, {"rate_d": bad}):
+            with pytest.raises(ValueError, match="event rates must be finite and nonnegative"):
+                SimSwitching(**rates, mu_f=half, mu_d=half)
     # both runners check the start by one rule
     for start in ((1.5, 0.5), (0.5, -0.1), (math.nan, 0.5)):
         with pytest.raises(ValueError, match=r"initial frequencies must lie in \[0, 1\]"):
@@ -113,12 +123,10 @@ def test_martingale_proxy_flat():
 
 def test_fixation_probability_small_case():
     cfg = WFConfig(N=50, K=1.0, c=1.0)
-    res = wf_ensemble(cfg, 0.4, 0.6, 4_000, 12_000, seed=6)
-    ones, zeros, unfixed = res.fixation_counts(cfg)
-    assert unfixed == 0
-    p = ones / 4_000
+    fix = wf_ensemble(cfg, 0.4, 0.6, 4_000, 12_000, seed=6).fixation
+    assert fix.unfixed == 0 and fix.reps == 4_000
     target = (0.6 + 0.4) / 2
-    assert abs(p - target) <= 3 * math.sqrt(p * (1 - p) / 4_000) + 0.02
+    assert abs(fix.frac_11 - target) <= 3 * fix.se_11() + 0.02
 
 
 def test_sim_step_without_events_matches_wf_step_in_law():

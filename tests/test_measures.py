@@ -54,6 +54,9 @@ def test_validation():
         for rate in ("c", "u1", "u2", "u1p", "u2p", "u_active", "u_dormant"):
             with pytest.raises(ValueError, match=f"rate {rate} must be finite and nonnegative"):
                 ModelParams(**{rate: bad})
+    with pytest.raises(ValueError, match=r"c\*K must be finite, got c = 10.0 and K = 1e\+308"):
+        ModelParams(c=10.0, K=1e308)
+    assert ModelParams(c=0.0, K=1e308).K == 1e308
     # atoms at 1 are allowed
     SwitchingMeasure.atom(1.0, 2.0)
 
