@@ -17,10 +17,14 @@ Three independent routes through this chain back the verification story:
 * the sparse matrix exponential of the generator: exact transient
   expectations, used as the right-hand side of the moment duality check.
 
-Every consumer of the chain reads its switching rates from one cached rate
-row per (measure, eligible count, single-line rate) and its targets from
-``_after``: the simulators through one category list (``_categories``), the
-oracles through one lattice (``_generator``), tested against the rate table.
+The scalar loop and the oracles read the chain's switching rates from one
+cached rate row per (measure, eligible count, single-line rate), one
+``group_switch_rate`` call each, and their targets from ``_after``: the
+scalar loop through one category list (``_categories``), the oracles through
+one lattice (``_generator``), tested against the rate table.  The ensemble
+reads no rows: it runs the spontaneous moves at their per-line rates and each
+atom and Beta component on its own event clock, which reproduce the rows'
+aggregate rates in law.
 
 The scalar loop pays for its random draws and little else: a move table per
 model (``_move_table``) keeps, for each state of at most ``_CACHED_LINES``
@@ -75,14 +79,9 @@ def _switch_row(measure: SwitchingMeasure, b: int, single_rate: float) -> tuple[
     single-line rate ``single_rate * b`` added at k = 1.  This is the only
     place the coordinated-switching rates of the chain are assembled.
     """
-    zero = measure.is_zero()
-    row = []
-    for k in range(1, b + 1):
-        rate = 0.0 if zero else group_switch_rate(measure, b, k)
-        if k == 1:
-            rate += single_rate * b
-        row.append(rate)
-    return tuple(row)
+    row = group_switch_rate(measure, b, np.arange(1, b + 1))
+    row[:1] += single_rate * b
+    return tuple(row.tolist())
 
 
 MERGE = "merge"

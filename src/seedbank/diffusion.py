@@ -686,7 +686,10 @@ class FixationStats:
     reps: int
     fixed_11: int
     fixed_00: int
-    unfixed: int
+
+    @property
+    def unfixed(self) -> int:
+        return self.reps - self.fixed_11 - self.fixed_00
 
     @property
     def frac_11(self) -> float:
@@ -725,8 +728,4 @@ def fixation_stats(
     settings = _run_settings(settings, T)
     res = batch_paths(params, x0, y0, settings, reps, seed, freeze_corner_tol=corner_tol)
     at00, at11 = _near_corners(res.final_x, res.final_y, corner_tol)
-    fixed_11 = int(at11.sum())
-    fixed_00 = int(at00.sum())
-    return FixationStats(
-        reps=reps, fixed_11=fixed_11, fixed_00=fixed_00, unfixed=reps - fixed_11 - fixed_00
-    )
+    return FixationStats(reps=reps, fixed_11=int(at11.sum()), fixed_00=int(at00.sum()))

@@ -19,6 +19,7 @@ Two-allele bookkeeping only: states count type-0 individuals per pool.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -86,8 +87,8 @@ class WFConfig:
     sim_switching: Optional[SimSwitching] = None
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
+        if not (isinstance(self.N, numbers.Integral) and self.N >= 1):
+            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
         if not 0.0 < self.K < math.inf:
             raise ValueError(f"K must be finite and positive, got {self.K}")
         if not 0.0 <= self.c < math.inf:
@@ -314,9 +315,8 @@ def wf_ensemble(
             lane, li, lj = lane[~hit], li[~hit], lj[~hit]
     i[lane], j[lane] = li, lj
     fixed = fixed_gen >= 0
-    ones = int(np.count_nonzero(fixed & (i == N)))
-    zeros = int(np.count_nonzero(fixed & (i == 0)))
     return WFEnsembleResult(
         i=i, j=j, fixed_generation=fixed_gen, clamped_exchanges=clamped,
-        fixation=FixationStats(reps=reps, fixed_11=ones, fixed_00=zeros, unfixed=reps - ones - zeros),
+        fixation=FixationStats(reps=reps, fixed_11=int(np.count_nonzero(fixed & (i == N))),
+                               fixed_00=int(np.count_nonzero(fixed & (i == 0)))),
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
 from scipy import special as _special
 
 __all__ = [
@@ -72,44 +73,31 @@ def total_mass(m: SwitchingMeasure) -> float:
     return math.fsum(w for _, w in m.atoms) + math.fsum(c[2] for c in m.beta_components)
 
 
-def group_switch_rate(m: SwitchingMeasure, b: int, k: int) -> float:
+def group_switch_rate(m: SwitchingMeasure, b: int, k: int | np.ndarray) -> float | np.ndarray:
     """Aggregate rate at which some k-subset of b eligible blocks switches.
 
-    Returns C(b, k) * integral of z^(k-1) (1-z)^(b-k) m(dz).  The rate of a
-    *specific* k-subset is this value divided by C(b, k); the simulators
-    sample the subset uniformly after drawing k, which is equivalent by
-    exchangeability.
+    Returns C(b, k) * integral of z^(k-1) (1-z)^(b-k) m(dz), as a float for
+    one k or as an array for an integer array of k.  Each atom and each Beta
+    component adds the exponential of one log-space term: an atom (z, w)
+    gives log C(b, k) + (k-1) log z + (b-k) log(1-z) + log w (``xlogy`` and
+    ``xlog1py`` make 0 * log 0 = 0, so an atom at z = 1 flips only k = b), a
+    Beta(a, bb) component of mass w gives log C(b, k) + log B(a+k-1, bb+b-k)
+    - log B(a, bb) + log w.  The log-space terms lose about 3e-15 * b
+    relative.  The rate of a *specific* k-subset is this value divided by
+    C(b, k); the simulators sample the subset uniformly after drawing k,
+    which is equivalent by exchangeability.
     """
-    if not 1 <= k <= b:
+    k = np.asarray(k)
+    if np.any((k < 1) | (k > b)):
         raise ValueError(f"flip size k={k} out of range 1..{b}")
-    terms = []
-    for z, w in m.atoms:
-        if z == 1.0:
-            # (1-z)^(b-k) vanishes unless every block flips
-            terms.append(w if k == b else 0.0)
-        elif b <= 60:
-            terms.append(math.comb(b, k) * w * z ** (k - 1) * (1.0 - z) ** (b - k))
-        else:
-            logv = (
-                _log_comb(b, k)
-                + (k - 1) * math.log(z)
-                + (b - k) * math.log1p(-z)
-                + math.log(w)
-            )
-            terms.append(math.exp(logv))
-    for a, bb, mass in m.beta_components:
-        logv = (
-            _log_comb(b, k)
-            + _special.betaln(a + k - 1, bb + b - k)
-            - _special.betaln(a, bb)
-            + math.log(mass)
-        )
-        terms.append(math.exp(logv))
-    return math.fsum(terms)
-
-
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    terms = [_special.xlogy(k - 1, z) + _special.xlog1py(b - k, -z) + math.log(w) for z, w in m.atoms]
+    terms += [
+        _special.betaln(a + k - 1, bb + b - k) - _special.betaln(a, bb) + math.log(mass)
+        for a, bb, mass in m.beta_components
+    ]
+    log_comb = _special.gammaln(b + 1) - _special.gammaln(k + 1) - _special.gammaln(b - k + 1)
+    rate = np.exp(log_comb + np.reshape(terms, (len(terms), *k.shape))).sum(axis=0)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def small_jump_mass(m: SwitchingMeasure, eps: float) -> float:
@@ -152,13 +140,12 @@ def sample_location(m: SwitchingMeasure, rng) -> float:
         acc += w
         if u <= acc:
             return z
-    for a, b, mass in m.beta_components:
+    # u lands past the running sum only by rounding; the last component takes it
+    for i, (a, b, mass) in enumerate(m.beta_components, 1):
         acc += mass
-        if u <= acc:
+        if u <= acc or i == len(m.beta_components):
             return float(rng.beta(a, b))
-    # u landed at the very top of the last component by rounding
-    a, b, _ = m.beta_components[-1]
-    return float(rng.beta(a, b))
+    return m.atoms[-1][0]
 
 
 def _check_eps(eps: float) -> None:

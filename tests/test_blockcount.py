@@ -348,12 +348,20 @@ def test_kingman_mean_tmrca():
 
 
 def test_ensemble_horizon_keeps_mark_flips():
-    # at total 1 the last line keeps flipping; both (1,0) and (0,1) must occur
-    res = blockcount_ensemble(
-        BlockCountState(2, 0), P11, 4_000, horizon=80.0, stop_at_total_one=False, seed=8
-    )
-    done = res.total == 1
-    assert done.mean() > 0.995  # stragglers past t=80 are vanishingly rare
-    frac_active = (res.n[done] == 1).mean()
-    # stationary split of the flip chain is K/(1+K) active = 1/2
-    assert abs(frac_active - 0.5) <= 3.5 * math.sqrt(0.25 / done.sum())
+    # at total 1 the last line keeps flipping; both (1,0) and (0,1) must occur,
+    # also from a one-line start
+    for s0 in (BlockCountState(2, 0), BlockCountState(1, 0)):
+        res = blockcount_ensemble(s0, P11, 4_000, horizon=80.0, stop_at_total_one=False, seed=8)
+        done = res.total == 1
+        assert done.mean() > 0.995  # stragglers past t=80 are vanishingly rare
+        frac_active = (res.n[done] == 1).mean()
+        # stationary split of the flip chain is K/(1+K) active = 1/2
+        assert abs(frac_active - 0.5) <= 3.5 * math.sqrt(0.25 / done.sum())
+    assert (res.absorption_time == 0.0).all()  # the one-line start is at total 1 from t = 0
+
+
+def test_ensemble_stops_lanes_with_no_move():
+    # two dormant lines with c = 0 and no measure: no move has a positive rate
+    res = blockcount_ensemble(BlockCountState(0, 2), ModelParams(c=0.0), 5, horizon=1.0, seed=0)
+    assert res.n.tolist() == [0] * 5 and res.m.tolist() == [2] * 5
+    assert np.isnan(res.absorption_time).all()

@@ -229,14 +229,17 @@ def test_stranded_raises_without_horizon():
 
 
 def test_segments_match_branch_lengths():
-    for seed in range(10):
-        g = simulate_coalescent(5, 2, PMIX, seed=seed)
+    stopped = 0  # genealogies cut at the horizon, whose open blocks end there
+    for seed, horizon in itertools.product(range(10), (None, 0.3)):
+        g = simulate_coalescent(5, 2, PMIX, horizon=horizon, seed=seed)
+        stopped += not g.reached_mrca
         segs = mark_segments(g)
         sa = sum(t1 - t0 for _, _, mk, t0, t1 in segs if mk == ACTIVE)
         sd = sum(t1 - t0 for _, _, mk, t0, t1 in segs if mk == DORMANT)
         la, ld = branch_lengths(g)
         assert sa == pytest.approx(la, rel=1e-9)
         assert sd == pytest.approx(ld, rel=1e-9)
+    assert stopped
 
 
 def test_jsonl_round_trip():

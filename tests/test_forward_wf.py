@@ -29,6 +29,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WFConfig(N=10, sim_switching=SimSwitching(rate_f=20.0, mu_f=SwitchingMeasure.atom(0.5, 1.0)))
     assert WFConfig(N=100, K=3.0).M == 33
+    for bad in (50.5, 50.0, math.inf, math.nan, -3):
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            WFConfig(N=bad)
+    assert WFConfig(N=np.int64(50)).M == 50
     # nan and inf are refused, as ModelParams refuses them
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="c must be finite and nonnegative"):
@@ -45,6 +49,14 @@ def test_config_validation():
             wf_ensemble(WFConfig(N=10), *start, 5, 10, seed=0)
         with pytest.raises(ValueError, match=r"initial frequencies must lie in \[0, 1\]"):
             run_trajectory(WFConfig(N=10), *start, 10, seed=0)
+
+
+def test_ensemble_refuses_coordinated_events():
+    events = SimSwitching(rate_f=1.0, mu_f=SwitchingMeasure.atom(0.5, 1.0))
+    with pytest.raises(ValueError, match="only covers the spontaneous model"):
+        wf_ensemble(WFConfig(N=50, sim_switching=events), 0.5, 0.5, 5, 10, seed=0)
+    # zero event rates are the spontaneous model
+    assert wf_ensemble(WFConfig(N=50, sim_switching=SimSwitching()), 0.5, 0.5, 5, 10, seed=0).fixation.reps == 5
 
 
 def test_sim_switching_needs_probability_measures():

@@ -84,6 +84,29 @@ def test_group_switch_rate_beta_vs_quadrature():
         assert group_switch_rate(BETA22, b, k) == pytest.approx(want, rel=1e-9)
 
 
+def test_group_switch_rate_takes_an_array_of_k():
+    for m in (SwitchingMeasure.zero(), ATOM, BETA22, MIXED, SwitchingMeasure.atom(1.0, 0.7)):
+        for b in (1, 4, 61, 300):
+            row = group_switch_rate(m, b, np.arange(1, b + 1))
+            assert isinstance(row, np.ndarray) and row.shape == (b,)
+            assert row.tolist() == [group_switch_rate(m, b, k) for k in range(1, b + 1)]
+    assert type(group_switch_rate(MIXED, 5, 2)) is float
+    assert group_switch_rate(MIXED, 0, np.arange(1, 1)).shape == (0,)
+    with pytest.raises(ValueError):
+        group_switch_rate(ATOM, 3, np.arange(0, 3))
+
+
+def test_group_switch_rate_against_closed_forms():
+    # an atom at 1/2 gives w C(b, k) / 2^(b-1), a Beta(2, 2) of mass 1 gives
+    # 6 (b-k+1) / ((b+1)(b+2)); the log-space terms lose about 3e-15 b relative
+    for b in (10, 60, 200, 1000):
+        k = np.arange(1, b + 1)
+        atom = [0.4 * (math.comb(b, j) / 2 ** (b - 1)) for j in range(1, b + 1)]
+        beta = 6.0 * (b - k + 1) / ((b + 1) * (b + 2))
+        assert group_switch_rate(ATOM, b, k) == pytest.approx(atom, rel=1e-14 * b, abs=0.0)
+        assert group_switch_rate(BETA22, b, k) == pytest.approx(beta, rel=1e-14 * b, abs=0.0)
+
+
 def test_group_switch_rate_range_errors():
     with pytest.raises(ValueError):
         group_switch_rate(ATOM, 3, 0)
@@ -92,7 +115,7 @@ def test_group_switch_rate_range_errors():
 
 
 def test_group_switch_rate_large_blocks():
-    # log-space path: finite, positive, and consistent with the atom formula
+    # C(10^4, 5000) overflows a double; the log-space term does not
     val = group_switch_rate(ATOM, 10_000, 5_000)
     assert 0.0 < val < math.inf
     lo = math.lgamma(10001) - 2 * math.lgamma(5001)
@@ -149,6 +172,20 @@ def test_sample_location_matches_measure():
     assert atom_frac == pytest.approx(0.4, abs=0.02)
     rest = draws[draws != 0.5]
     assert rest.mean() == pytest.approx(0.5, abs=0.01)  # Beta(2,2) mean
+
+
+def test_sample_location_rounding_past_the_running_sum():
+    # fsum of these weights lies above their running sum, and u = the largest
+    # double below the total lands in that gap
+    weights = (23.782968022375794, 34.14653668718493, 0.09109750310514808,
+               0.9603707068623992, 0.00655316152368591, 0.0038589453403290565)
+    m = SwitchingMeasure(atoms=tuple(zip((0.1, 0.2, 0.3, 0.4, 0.5, 0.6), weights)))
+
+    class TopOfRange:
+        def uniform(self, lo, hi):
+            return np.nextafter(hi, 0.0)
+
+    assert sample_location(m, TopOfRange()) == 0.6
 
 
 def test_model_params_validation():

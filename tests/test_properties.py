@@ -63,8 +63,9 @@ unit = st.floats(0.0, 1.0)
 @settings(max_examples=60, deadline=None)
 @given(measures, st.integers(1, 40))
 def test_switch_rates_sum_to_total_flip_rate(measure, b):
-    s = math.fsum(group_switch_rate(measure, b, k) for k in range(1, b + 1))
-    assert s == pytest.approx(total_flip_rate(measure, b), rel=1e-8)
+    row = group_switch_rate(measure, b, np.arange(1, b + 1))
+    assert row.tolist() == [group_switch_rate(measure, b, k) for k in range(1, b + 1)]
+    assert math.fsum(row) == pytest.approx(total_flip_rate(measure, b), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
