@@ -48,7 +48,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import expm_multiply, spsolve
 
 from .measures import ModelParams, SwitchingMeasure, group_switch_rate, total_mass
-from .streams import as_rng, mean_stderr
+from .streams import as_rng, check_reps, mean_stderr
 
 __all__ = [
     "BlockCountState",
@@ -316,6 +316,7 @@ def blockcount_ensemble(
     ``stop_at_total_one=False`` keeps lanes running to the horizon so that
     the active/dormant split of the last line stays distributed correctly.
     """
+    check_reps(reps)
     s0 = _start(s0, params, need_mrca=stop_at_total_one and horizon is None)
     _check_horizon(horizon)
     if not stop_at_total_one and horizon is None:

@@ -299,10 +299,11 @@ def _range_errors(cfg: ExperimentConfig) -> list[tuple[str, str]]:
 
 
 def _text(value) -> str:
-    """Text form of a value: shortest round-trip floats, tuples space-separated."""
+    """Text form of a value: shortest round-trip floats (numpy's too, without
+    their type name), tuples space-separated."""
     if isinstance(value, tuple):
         return " ".join(_text(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

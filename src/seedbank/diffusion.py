@@ -24,7 +24,10 @@ read one set of drift coefficients and one jump schedule, walk one grid of
 knots once, and land a step on each jump.  There is one scalar Euler step for
 ``integrate`` and one vectorized step for every batch lane; ``integrate``
 lands on a knot's jumps inside its walk, and the batch engine advances a
-window's jumps in rounds, one jump per lane and round.
+window's jumps in rounds, one jump per lane and round.  The batch engine
+keeps its live lanes as compacted arrays in lane order, so a step costs in
+proportion to the lanes still running; it writes the full-width state only
+where lanes freeze, at snapshots and at the end.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from scipy import special as _special
 
 from .measures import ModelParams, small_jump_mass
-from .streams import as_rng, mean_stderr
+from .streams import as_rng, check_reps, mean_stderr
 
 __all__ = [
     "IntegratorSettings",
@@ -245,23 +248,29 @@ def _euler_scalar(x, y, h, coeffs, binomial, rng):
     return min(max(xn, 0.0), 1.0), min(max(yn, 0.0), 1.0)
 
 
-def _euler_batch(x, y, lanes, h, coeffs, binomial, rng):
-    """Every batch lane's Euler step: moves ``lanes`` of x and y in place by h.
+def _euler_batch(x, y, h, coeffs, binomial, rng):
+    """Every batch lane's Euler step of length h from the arrays (x, y);
+    returns the new pair, clamped to the unit square.
 
     h is one float or one per lane; the binomial model resamples a lane from
     max(rint(1/h), 1) individuals.  Lane by lane this is :func:`_euler_scalar`.
     """
     u1, u2, u1p, u2p, pull_f, pull_d = coeffs
-    xl, yl = x[lanes], y[lanes]
-    xn = xl + (-u1 * xl + u2 * (1.0 - xl) + pull_f * (yl - xl)) * h
+    xn = x + (-u1 * x + u2 * (1.0 - x) + pull_f * (y - x)) * h
     if binomial:
-        n_eff = np.maximum(np.rint(1.0 / h), 1.0).astype(np.int64)
-        xn = rng.binomial(n_eff, np.clip(xn, 0.0, 1.0)) / n_eff
+        if isinstance(h, float):
+            if not 1.0 / h < 2.0**63:  # no int64 count; the per-lane branch fails here too
+                raise ValueError(f"a binomial step of length {h} resamples past 2**63 individuals")
+            n_eff = max(int(round(1.0 / h)), 1)
+        else:
+            n_eff = np.maximum(np.rint(1.0 / h), 1.0).astype(np.int64)
+        # Binomial(n, p) / n lies in [0, 1]: no clamp after the division
+        xn = rng.binomial(n_eff, np.clip(xn, 0.0, 1.0, out=xn)) / n_eff
     else:
-        xn = xn + np.sqrt(np.maximum(xl * (1.0 - xl), 0.0)) * np.sqrt(h) * rng.standard_normal(xl.size)
-    yn = yl + (-u1p * yl + u2p * (1.0 - yl) + pull_d * (xl - yl)) * h
-    x[lanes] = np.clip(xn, 0.0, 1.0)
-    y[lanes] = np.clip(yn, 0.0, 1.0)
+        xn += np.sqrt(np.maximum(x * (1.0 - x), 0.0)) * np.sqrt(h) * rng.standard_normal(x.size)
+        np.clip(xn, 0.0, 1.0, out=xn)
+    yn = y + (-u1p * y + u2p * (1.0 - y) + pull_d * (x - y)) * h
+    return xn, np.clip(yn, 0.0, 1.0, out=yn)
 
 
 class _Normals:
@@ -444,6 +453,9 @@ def delay_residual(traj: Trajectory, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+_HIT_NAMES = ("x0", "x1", "y0", "y1")  # x or y landed on 0 or 1 at some knot
+
+
 @dataclass
 class BatchResult:
     """Snapshots and terminal data of a vectorized run."""
@@ -451,7 +463,7 @@ class BatchResult:
     snapshots: list[tuple[float, np.ndarray, np.ndarray]]  # (time, x copy, y copy)
     final_x: np.ndarray
     final_y: np.ndarray
-    hits: Optional[dict[str, np.ndarray]]  # "x0", "x1", "y0", "y1" -> bool per lane
+    hits: Optional[dict[str, np.ndarray]]  # each of _HIT_NAMES -> bool per lane
     frozen_at: np.ndarray  # time a lane froze at an absorbing corner; nan otherwise
     jump_counts: dict[str, int] = field(default_factory=dict)
 
@@ -470,17 +482,22 @@ def batch_paths(
 ) -> BatchResult:
     """Integrate ``reps`` independent paths in lockstep.
 
-    The live lanes are one index array in lane order, and every lane moves
-    by the one vectorized Euler step.  A window between two knots advances
-    in rounds: round r takes each live lane whose r-th jump in the window is
-    pending, steps it from its own clock to that jump time and applies the
-    jump; then every live lane steps to the knot.  With ``freeze_corner_tol``
-    in [0, 1/2), lanes within that sup-norm distance of an absorbing corner
-    are snapped onto it, frozen (``frozen_at`` records when) and dropped
-    from the live set; the corner is an exact fixed point, so only the snap
-    distance is an approximation.  A knot with no live lane takes no step,
-    and each snapshot is taken at its knot.  Deterministic given the seed.
+    The live lanes are compacted arrays in lane order: their indices, their
+    (x, y) and, with ``track_hits``, their hit flags.  The one vectorized
+    Euler step moves the compacted pair and returns it; the full-width
+    ``x`` and ``y`` are written only where lanes freeze, at snapshot knots
+    and at the end.  A window between two knots that holds jumps advances
+    in rounds: round r takes each live lane whose r-th jump in the window
+    is pending, steps it from its own clock to that jump time and applies
+    the jump; then every live lane steps to the knot.  With
+    ``freeze_corner_tol`` in [0, 1/2), lanes within that sup-norm distance
+    of an absorbing corner are snapped onto it, frozen (``frozen_at``
+    records when) and dropped from the compacted arrays; the corner is an
+    exact fixed point, so only the snap distance is an approximation.  A
+    knot with no live lane takes no step, and each snapshot is taken at its
+    knot.  Deterministic given the seed.
     """
+    check_reps(reps)
     if freeze_corner_tol is not None and not 0.0 <= freeze_corner_tol < 0.5:
         raise ValueError("corner tolerance must lie in [0, 0.5)")  # else near both corners
     x0, y0 = _as_pair((x0, y0))
@@ -489,78 +506,96 @@ def batch_paths(
     ev_t, ev_lane, ev_z, ev_isf = _schedule(params, eps, settings.horizon, reps, rng)
     coeffs = _drift_coefficients(params, eps)
     binomial = settings.noise_model == "binomial"
-    absorbing = _corner_absorbing(params)
+    abs00, abs11 = _corner_absorbing(params)
+    freezing = freeze_corner_tol is not None and (abs00 or abs11)
 
     x = np.full(reps, x0)
     y = np.full(reps, y0)
     frozen_at = np.full(reps, np.nan)  # nan while a lane is live
-    hits = (
-        {name: np.zeros(reps, dtype=bool) for name in ("x0", "x1", "y0", "y1")}
-        if track_hits
-        else None
-    )
+    hits = {name: np.zeros(reps, dtype=bool) for name in _HIT_NAMES} if track_hits else None
     jump_counts = {F_TYPE: 0, D_TYPE: 0}
+    # the live lanes in lane order, their state and their hit flags (one row
+    # per name in _HIT_NAMES); only freezing shrinks them
+    live = np.arange(reps)
+    xs, ys = x.copy(), y.copy()
+    flags = np.zeros((len(_HIT_NAMES), reps), dtype=bool) if track_hits else None
 
-    def record_hits(idx):
-        if hits is None:
+    def record_hits():
+        if flags is not None:
+            flags[0] |= xs == 0.0
+            flags[1] |= xs == 1.0
+            flags[2] |= ys == 0.0
+            flags[3] |= ys == 1.0
+
+    def freeze(t):
+        """Snap and freeze at t the live lanes near an absorbing corner."""
+        nonlocal live, xs, ys, flags
+        if not freezing:
             return
-        hits["x0"][idx] |= x[idx] == 0.0
-        hits["x1"][idx] |= x[idx] == 1.0
-        hits["y0"][idx] |= y[idx] == 0.0
-        hits["y1"][idx] |= y[idx] == 1.0
+        near00, near11 = _near_corners(xs, ys, freeze_corner_tol)
+        near = (near00 | near11) if abs00 and abs11 else (near00 if abs00 else near11)
+        if not near.any():
+            return
+        gone = live[near]
+        x[gone] = y[gone] = near11[near]  # snapped onto its corner
+        frozen_at[gone] = t
+        if flags is not None:
+            for name, row in zip(_HIT_NAMES, flags[:, near]):
+                hits[name][gone] = row
+            flags = flags[:, ~near]
+        live, xs, ys = live[~near], xs[~near], ys[~near]
 
-    def freeze(idx, t):
-        """Snap and freeze at t the lanes of idx near an absorbing corner; returns the rest."""
-        if freeze_corner_tol is None:
-            return idx
-        for corner in (0, 1):
-            if absorbing[corner]:
-                near = _near_corners(x[idx], y[idx], freeze_corner_tol)[corner]
-                sel, idx = idx[near], idx[~near]
-                x[sel] = y[sel] = corner
-                frozen_at[sel] = t
-        return idx
-
-    record_hits(np.arange(reps))
-    live = freeze(np.arange(reps), 0.0)  # the live lanes in lane order; only freeze shrinks it
+    record_hits()
+    freeze(0.0)
 
     times, snap_map = _knots(settings.horizon, settings.dt, snapshot_times)
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
     ev_pos = 0
+    next_jump = float(ev_t[0]) if ev_t.size else math.inf
     t_prev = 0.0
     for knot_i, t_cur in enumerate(times):
-        if t_cur > t_prev and live.size:
-            ev_end = int(np.searchsorted(ev_t, t_cur, side="right"))
-            # the window's jumps on live lanes, in time order
-            pending = ev_pos + np.flatnonzero(np.isnan(frozen_at[ev_lane[ev_pos:ev_end]]))
-            ev_pos = ev_end
-            n_f = int(np.count_nonzero(ev_isf[pending]))
-            jump_counts[F_TYPE] += n_f
-            jump_counts[D_TYPE] += pending.size - n_f
-            move, h = live, t_cur - t_prev
-            if pending.size:
-                clock = np.full(reps, t_prev)
+        if xs.size:
+            pending = ()
+            if next_jump <= t_cur:
+                ev_end = int(np.searchsorted(ev_t, t_cur, side="right"))
+                # the window's jumps on live lanes, in time order
+                pending = ev_pos + np.flatnonzero(np.isnan(frozen_at[ev_lane[ev_pos:ev_end]]))
+                ev_pos = ev_end
+                next_jump = float(ev_t[ev_pos]) if ev_pos < ev_t.size else math.inf
+                n_f = int(np.count_nonzero(ev_isf[pending]))
+                jump_counts[F_TYPE] += n_f
+                jump_counts[D_TYPE] += pending.size - n_f
+            if len(pending):
+                clock = np.full(xs.size, t_prev)
                 while pending.size:
                     # the earliest pending jump of each lane that has one
-                    _, first = np.unique(ev_lane[pending], return_index=True)
+                    lanes, first = np.unique(ev_lane[pending], return_index=True)
                     ev, pending = pending[first], np.delete(pending, first)
-                    lane, t = ev_lane[ev], ev_t[ev]
-                    h = t - clock[lane]
-                    _euler_batch(x, y, lane[h > 0.0], h[h > 0.0], coeffs, binomial, rng)
-                    clock[lane] = t
-                    xl, yl, z, is_f = x[lane], y[lane], ev_z[ev], ev_isf[ev]
-                    x[lane] = np.where(is_f, np.clip(xl + z * (yl - xl), 0.0, 1.0), xl)
-                    y[lane] = np.where(is_f, yl, np.clip(yl + z * (xl - yl), 0.0, 1.0))
-                h = t_cur - clock[live]
-                move, h = live[h > 0.0], h[h > 0.0]
-            _euler_batch(x, y, move, h, coeffs, binomial, rng)
-            record_hits(live)
-            live = freeze(live, t_cur)
+                    pos, t = np.searchsorted(live, lanes), ev_t[ev]
+                    h = t - clock[pos]
+                    move = pos[h > 0.0]
+                    xs[move], ys[move] = _euler_batch(xs[move], ys[move], h[h > 0.0], coeffs, binomial, rng)
+                    clock[pos] = t
+                    xl, yl, z, is_f = xs[pos], ys[pos], ev_z[ev], ev_isf[ev]
+                    xs[pos] = np.where(is_f, np.clip(xl + z * (yl - xl), 0.0, 1.0), xl)
+                    ys[pos] = np.where(is_f, yl, np.clip(yl + z * (xl - yl), 0.0, 1.0))
+                h = t_cur - clock
+                move = h > 0.0
+                xs[move], ys[move] = _euler_batch(xs[move], ys[move], h[move], coeffs, binomial, rng)
+            else:
+                xs, ys = _euler_batch(xs, ys, t_cur - t_prev, coeffs, binomial, rng)
+            record_hits()
+            freeze(t_cur)
         if knot_i in snap_map:
+            x[live], y[live] = xs, ys
             for s in snap_map[knot_i]:
                 snapshots.append((s, x.copy(), y.copy()))
         t_prev = t_cur
 
+    x[live], y[live] = xs, ys
+    if hits is not None:
+        for name, row in zip(_HIT_NAMES, flags):
+            hits[name][live] = row
     return BatchResult(
         snapshots=snapshots,
         final_x=x,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .diffusion import FixationStats
 from .measures import SwitchingMeasure, sample_location, total_mass
-from .streams import as_rng
+from .streams import as_rng, check_reps
 
 __all__ = [
     "SimSwitching",
@@ -288,6 +288,7 @@ def wf_ensemble(
     generation, so stopping changes the stream but not the law.  Rare
     coordinated events are not supported here; use run_trajectory.
     """
+    check_reps(reps)
     if cfg.sim_switching is not None and (
         cfg.sim_switching.rate_f > 0 or cfg.sim_switching.rate_d > 0
     ):

@@ -12,7 +12,7 @@ distinct keys yield statistically independent PCG64 streams, and the same
 ``(master_seed, key)`` pair always yields the same stream.
 
 :func:`mean_stderr` is the one place replicate values become a mean and its
-standard error.
+standard error, and :func:`check_reps` the one check on a replicate count.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-__all__ = ["substream", "as_rng", "mean_stderr"]
+__all__ = ["substream", "as_rng", "check_reps", "mean_stderr"]
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -42,6 +42,12 @@ def as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def check_reps(reps) -> None:
+    """Refuse a replicate count below 1 before anything is drawn."""
+    if not reps >= 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
 
 
 def mean_stderr(values) -> tuple[float, float]:

@@ -365,3 +365,9 @@ def test_ensemble_stops_lanes_with_no_move():
     res = blockcount_ensemble(BlockCountState(0, 2), ModelParams(c=0.0), 5, horizon=1.0, seed=0)
     assert res.n.tolist() == [0] * 5 and res.m.tolist() == [2] * 5
     assert np.isnan(res.absorption_time).all()
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_ensemble_refuses_fewer_than_one_lane(reps):
+    with pytest.raises(ValueError, match=f"reps must be at least 1, got {reps}"):
+        blockcount_ensemble(BlockCountState(2, 0), P11, reps, seed=0)

@@ -378,6 +378,46 @@ def test_cli_genealogy_and_trajectory_outputs(tmp_path):
     assert fix["fixed_all_type0"] + fix["fixed_all_type1"] + fix["unfixed"] == 150
 
 
+# a small config of every experiment subcommand and the CSV files it writes
+SMALL_RUNS = {
+    "coalescent": (dict(n=4, m=1, reps=20), []),
+    "blockcount": (dict(n=3, m=1, reps=20), ["path.csv"]),
+    "forward-wf": (dict(pop_size=40, generations=60, reps=20, x0=0.3, y0=0.7), ["trajectory.csv"]),
+    "diffusion": (
+        dict(x0=0.4, y0=0.8, horizon=0.5, dt=1e-2,
+             model=ModelParams(c=1.0, K=1.0, lambda_ad=SwitchingMeasure.atom(0.5, 4.0))),
+        ["jumps.csv", "trajectory.csv"],
+    ),
+    "duality": (dict(reps=20, times=(0.1,), xs=(0.2,), ys=(0.8,), horizon=0.1, dt=1e-2), ["duality.csv"]),
+    "tmrca-scan": (dict(n_list=(16, 32), reps=10), ["scan.csv"]),
+    "coming-down-scan": (dict(n_list=(4, 8), reps=10), ["scan.csv"]),
+    "stats": (dict(n=4, m=0, reps=10, model=ModelParams(c=1.0, K=1.0, u_active=1.0, u_dormant=0.5)),
+              ["sfs.csv"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(SMALL_RUNS))
+def test_cli_csv_cells_are_plain_numbers(tmp_path, kind):
+    # every CSV cell below the header parses as a number, numpy floats
+    # included ("np.float64(0.3)" does not); the one text column is a jump's type
+    fields, csv_names = SMALL_RUNS[kind]
+    cfg_file = tmp_path / "run.ini"
+    cfg_file.write_text(serialize_config(dataclasses.replace(ExperimentConfig(experiment=kind, seed=4), **fields)))
+    assert main([kind, "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(p.name for p in (tmp_path / "o").glob("*.csv")) == csv_names
+    for name in csv_names:
+        text = (tmp_path / "o" / name).read_text()
+        header, *rows = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")]
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            for column, cell in zip(header, row):
+                if column == "type":
+                    assert cell in ("F", "D")
+                else:
+                    float(cell)
+
+
 def test_cli_diffusion_beta_model_writes_json_booleans(tmp_path):
     # a Beta component makes the sub-cutoff jump mass a numpy scalar; the
     # summary must still serialize its flags as JSON booleans

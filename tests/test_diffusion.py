@@ -439,3 +439,17 @@ def test_integrate_lands_on_jumps_at_zero_on_a_knot_and_together(monkeypatch, no
     res = batch_paths(P11, 0.3, 0.7, st, 1, seed=4)
     assert res.jump_counts == {"F": 2, "D": 2}
     assert (float(res.final_x[0]), float(res.final_y[0])) == (float(tr.x[-1]), float(tr.y[-1]))
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_batch_runs_refuse_fewer_than_one_lane(reps):
+    p = ModelParams(c=1.0, K=1.0)
+    st = IntegratorSettings(horizon=0.1, dt=0.01)
+    runs = [
+        lambda: batch_paths(p, 0.3, 0.7, st, reps, seed=0),
+        lambda: fixation_stats(p, (0.3, 0.7), 0.1, reps, seed=0, settings=st),
+        lambda: duality_lhs_grid(p, 0.3, 0.7, [(1, 0)], [0.1], reps, seed=0, settings=st),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=f"reps must be at least 1, got {reps}"):
+            run()

@@ -220,3 +220,9 @@ def test_empty_and_whole_pool_draws_consume_no_random_numbers():
     assert rng.hypergeometric(good, bad, good + bad).tolist() == good.tolist()
     assert rng.binomial(np.zeros(3, dtype=np.int64), np.array([0.0, 0.3, 1.0])).tolist() == [0, 0, 0]
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_ensemble_refuses_fewer_than_one_lane(reps):
+    with pytest.raises(ValueError, match=f"reps must be at least 1, got {reps}"):
+        wf_ensemble(WFConfig(N=10), 0.5, 0.5, reps, 10, seed=0)

@@ -1,7 +1,8 @@
 """Invariants over random finite measures: switching rates, the block-count
 generator and move table, simulated genealogies and their log, the agreement of the scalar
-and batch diffusion integrators and of their knot grid with its list builder,
-of the scalar and vectorised Wright-Fisher loops, and the config round trip."""
+and batch diffusion integrators, of the batch engine with its gather/scatter reference
+loop and of their knot grid with its list builder, of the scalar and vectorised
+Wright-Fisher loops, and the config round trip."""
 
 import itertools
 import math
@@ -33,7 +34,22 @@ from seedbank.coalescent import (
     simulate_coalescent,
 )
 from seedbank.config import EXPERIMENTS, ExperimentConfig, parse_config, serialize_config
-from seedbank.diffusion import MAX_STEPS, _KNOT_MERGE_TOL, IntegratorSettings, _knots, batch_paths, integrate
+from seedbank.diffusion import (
+    D_TYPE,
+    F_TYPE,
+    MAX_STEPS,
+    _KNOT_MERGE_TOL,
+    BatchResult,
+    IntegratorSettings,
+    _as_pair,
+    _corner_absorbing,
+    _drift_coefficients,
+    _knots,
+    _near_corners,
+    _schedule,
+    batch_paths,
+    integrate,
+)
 from seedbank.forward_wf import WFConfig, run_trajectory, wf_ensemble
 from seedbank.measures import (
     ModelParams,
@@ -42,6 +58,7 @@ from seedbank.measures import (
     total_flip_rate,
     total_mass,
 )
+from seedbank.streams import as_rng
 
 weights = st.floats(0.01, 2.0)
 atoms = st.lists(st.tuples(st.floats(0.01, 1.0), weights), max_size=2)
@@ -279,6 +296,159 @@ def test_integrate_is_a_one_lane_batch(params, x0, y0, st_, seed):
     res = batch_paths(params, x0, y0, st_, 1, seed=seed)
     assert (float(res.final_x[0]), float(res.final_y[0])) == (float(tr.x[-1]), float(tr.y[-1]))
 
+
+
+# the gather/scatter loop that the compacted batch engine replaced, kept as its
+# reference: every live lane is read from and written back to the full-width
+# arrays through one index array at each step
+def _euler_step_reference(x, y, lanes, h, coeffs, binomial, rng):
+    u1, u2, u1p, u2p, pull_f, pull_d = coeffs
+    xl, yl = x[lanes], y[lanes]
+    xn = xl + (-u1 * xl + u2 * (1.0 - xl) + pull_f * (yl - xl)) * h
+    if binomial:
+        n_eff = np.maximum(np.rint(1.0 / h), 1.0).astype(np.int64)
+        xn = rng.binomial(n_eff, np.clip(xn, 0.0, 1.0)) / n_eff
+    else:
+        xn = xn + np.sqrt(np.maximum(xl * (1.0 - xl), 0.0)) * np.sqrt(h) * rng.standard_normal(xl.size)
+    yn = yl + (-u1p * yl + u2p * (1.0 - yl) + pull_d * (xl - yl)) * h
+    x[lanes] = np.clip(xn, 0.0, 1.0)
+    y[lanes] = np.clip(yn, 0.0, 1.0)
+
+
+def _batch_paths_reference(params, x0, y0, settings, reps, seed=None, *,
+                           snapshot_times=(), track_hits=False, freeze_corner_tol=None):
+    x0, y0 = _as_pair((x0, y0))
+    rng = as_rng(seed)
+    eps = settings.jump_cutoff
+    ev_t, ev_lane, ev_z, ev_isf = _schedule(params, eps, settings.horizon, reps, rng)
+    coeffs = _drift_coefficients(params, eps)
+    binomial = settings.noise_model == "binomial"
+    absorbing = _corner_absorbing(params)
+
+    x = np.full(reps, x0)
+    y = np.full(reps, y0)
+    frozen_at = np.full(reps, np.nan)
+    hits = {name: np.zeros(reps, dtype=bool) for name in ("x0", "x1", "y0", "y1")} if track_hits else None
+    jump_counts = {F_TYPE: 0, D_TYPE: 0}
+
+    def record_hits(idx):
+        if hits is None:
+            return
+        hits["x0"][idx] |= x[idx] == 0.0
+        hits["x1"][idx] |= x[idx] == 1.0
+        hits["y0"][idx] |= y[idx] == 0.0
+        hits["y1"][idx] |= y[idx] == 1.0
+
+    def freeze(idx, t):
+        if freeze_corner_tol is None:
+            return idx
+        for corner in (0, 1):
+            if absorbing[corner]:
+                near = _near_corners(x[idx], y[idx], freeze_corner_tol)[corner]
+                sel, idx = idx[near], idx[~near]
+                x[sel] = y[sel] = corner
+                frozen_at[sel] = t
+        return idx
+
+    record_hits(np.arange(reps))
+    live = freeze(np.arange(reps), 0.0)
+
+    times, snap_map = _knots(settings.horizon, settings.dt, snapshot_times)
+    snapshots = []
+    ev_pos = 0
+    t_prev = 0.0
+    for knot_i, t_cur in enumerate(times):
+        if t_cur > t_prev and live.size:
+            ev_end = int(np.searchsorted(ev_t, t_cur, side="right"))
+            pending = ev_pos + np.flatnonzero(np.isnan(frozen_at[ev_lane[ev_pos:ev_end]]))
+            ev_pos = ev_end
+            n_f = int(np.count_nonzero(ev_isf[pending]))
+            jump_counts[F_TYPE] += n_f
+            jump_counts[D_TYPE] += pending.size - n_f
+            move, h = live, t_cur - t_prev
+            if pending.size:
+                clock = np.full(reps, t_prev)
+                while pending.size:
+                    _, first = np.unique(ev_lane[pending], return_index=True)
+                    ev, pending = pending[first], np.delete(pending, first)
+                    lane, t = ev_lane[ev], ev_t[ev]
+                    h = t - clock[lane]
+                    _euler_step_reference(x, y, lane[h > 0.0], h[h > 0.0], coeffs, binomial, rng)
+                    clock[lane] = t
+                    xl, yl, z, is_f = x[lane], y[lane], ev_z[ev], ev_isf[ev]
+                    x[lane] = np.where(is_f, np.clip(xl + z * (yl - xl), 0.0, 1.0), xl)
+                    y[lane] = np.where(is_f, yl, np.clip(yl + z * (xl - yl), 0.0, 1.0))
+                h = t_cur - clock[live]
+                move, h = live[h > 0.0], h[h > 0.0]
+            _euler_step_reference(x, y, move, h, coeffs, binomial, rng)
+            record_hits(live)
+            live = freeze(live, t_cur)
+        if knot_i in snap_map:
+            for s in snap_map[knot_i]:
+                snapshots.append((s, x.copy(), y.copy()))
+        t_prev = t_cur
+
+    return BatchResult(snapshots=snapshots, final_x=x, final_y=y, hits=hits,
+                       frozen_at=frozen_at, jump_counts=jump_counts)
+
+
+@st.composite
+def batch_runs(draw):
+    """Arguments of a batch run: a model and both noise models, corner
+    tolerances of None, 0 and small values, snapshot lists with duplicates
+    and the horizon, hit tracking on and off, and 1-50 lanes."""
+    st_ = draw(integrator_settings)
+    h = st_.horizon
+    times = draw(st.lists(st.floats(0.0, h, exclude_min=True) | st.just(h), max_size=4))
+    times += draw(st.lists(st.sampled_from(times), max_size=2)) if times else []
+    # starts near a corner make lanes freeze inside the short horizons
+    near_corner = st.sampled_from([(0.0, 0.0), (0.02, 0.01), (0.1, 0.05), (0.97, 0.99), (1.0, 1.0)])
+    x0, y0 = draw(st.tuples(unit, unit) | near_corner)
+    return dict(
+        params=draw(diffusion_models),
+        x0=x0,
+        y0=y0,
+        settings=st_,
+        reps=draw(st.integers(1, 50)),
+        seed=draw(seeds),
+        snapshot_times=times,
+        track_hits=draw(st.booleans()),
+        freeze_corner_tol=draw(st.sampled_from([None, 0.0, 1e-3, 0.05, 0.2])),
+    )
+
+
+def _outcome(run_batch, run):
+    try:
+        return run_batch(**run)
+    except ValueError as err:
+        return err
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_runs())
+def test_batch_paths_match_the_gather_scatter_loop(run):
+    # a first knot within about 1e-19 of time 0 is a step too short for the
+    # binomial model: both loops refuse it
+    with np.errstate(invalid="ignore"):
+        got, ref = (_outcome(run_batch, run) for run_batch in (batch_paths, _batch_paths_reference))
+    if isinstance(ref, ValueError):
+        assert isinstance(got, ValueError)
+        return
+    assert _same_bytes(got.final_x, ref.final_x) and _same_bytes(got.final_y, ref.final_y)
+    assert _same_bytes(got.frozen_at, ref.frozen_at)  # nan included
+    assert [s for s, _, _ in got.snapshots] == [s for s, _, _ in ref.snapshots]
+    for (_, gx, gy), (_, rx, ry) in zip(got.snapshots, ref.snapshots):
+        assert _same_bytes(gx, rx) and _same_bytes(gy, ry)
+    if ref.hits is None:
+        assert got.hits is None
+    else:
+        assert got.hits.keys() == ref.hits.keys()
+        assert all(_same_bytes(got.hits[k], ref.hits[k]) for k in ref.hits)
+    assert got.jump_counts == ref.jump_counts
 
 
 # the list-of-tuples grid builder that ``_knots`` replaced, kept as its reference
