@@ -258,12 +258,7 @@ def _euler_batch(x, y, h, coeffs, binomial, rng):
     u1, u2, u1p, u2p, pull_f, pull_d = coeffs
     xn = x + (-u1 * x + u2 * (1.0 - x) + pull_f * (y - x)) * h
     if binomial:
-        if isinstance(h, float):
-            if not 1.0 / h < 2.0**63:  # no int64 count; the per-lane branch fails here too
-                raise ValueError(f"a binomial step of length {h} resamples past 2**63 individuals")
-            n_eff = max(int(round(1.0 / h)), 1)
-        else:
-            n_eff = np.maximum(np.rint(1.0 / h), 1.0).astype(np.int64)
+        n_eff = np.maximum(np.rint(1.0 / h), 1.0).astype(np.int64)
         # Binomial(n, p) / n lies in [0, 1]: no clamp after the division
         xn = rng.binomial(n_eff, np.clip(xn, 0.0, 1.0, out=xn)) / n_eff
     else:
@@ -512,13 +507,14 @@ def batch_paths(
     x = np.full(reps, x0)
     y = np.full(reps, y0)
     frozen_at = np.full(reps, np.nan)  # nan while a lane is live
-    hits = {name: np.zeros(reps, dtype=bool) for name in _HIT_NAMES} if track_hits else None
+    # one row per name in _HIT_NAMES
+    hit_rows = np.zeros((len(_HIT_NAMES), reps), dtype=bool) if track_hits else None
     jump_counts = {F_TYPE: 0, D_TYPE: 0}
-    # the live lanes in lane order, their state and their hit flags (one row
-    # per name in _HIT_NAMES); only freezing shrinks them
+    # the live lanes in lane order, their state and their hit flags; only
+    # freezing shrinks them
     live = np.arange(reps)
     xs, ys = x.copy(), y.copy()
-    flags = np.zeros((len(_HIT_NAMES), reps), dtype=bool) if track_hits else None
+    flags = hit_rows.copy() if track_hits else None
 
     def record_hits():
         if flags is not None:
@@ -540,8 +536,7 @@ def batch_paths(
         x[gone] = y[gone] = near11[near]  # snapped onto its corner
         frozen_at[gone] = t
         if flags is not None:
-            for name, row in zip(_HIT_NAMES, flags[:, near]):
-                hits[name][gone] = row
+            hit_rows[:, gone] = flags[:, near]
             flags = flags[:, ~near]
         live, xs, ys = live[~near], xs[~near], ys[~near]
 
@@ -593,14 +588,13 @@ def batch_paths(
         t_prev = t_cur
 
     x[live], y[live] = xs, ys
-    if hits is not None:
-        for name, row in zip(_HIT_NAMES, flags):
-            hits[name][live] = row
+    if flags is not None:
+        hit_rows[:, live] = flags
     return BatchResult(
         snapshots=snapshots,
         final_x=x,
         final_y=y,
-        hits=hits,
+        hits=dict(zip(_HIT_NAMES, hit_rows)) if track_hits else None,
         frozen_at=frozen_at,
         jump_counts=jump_counts,
     )
