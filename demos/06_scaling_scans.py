@@ -5,7 +5,8 @@ line-count ensemble:
 
 * the expected coalescence time of a fully active sample grows like
   log log n - the scan watches mean / log log n stay within a narrow band
-  while n spans two decades;
+  while n spans three decades (n = 10^5 takes a few seconds: the ensemble
+  moves its lanes by blocks of merges);
 
 * started from many active lines, coordinated deactivation with c = 0
   leaves a mean block count at a small probe time whose growth in n
@@ -21,7 +22,7 @@ from seedbank import ModelParams, SwitchingMeasure, coming_down_scan, tmrca_logl
 params = ModelParams(c=1.0, K=1.0)
 print("mean time to common ancestor, 1000 replicates per n (c = K = 1):")
 print("      n      mean    stderr   mean/loglog(n)")
-for row in tmrca_loglog_scan(params, [100, 1000, 10_000], 1000, seed=31):
+for row in tmrca_loglog_scan(params, [100, 1000, 10_000, 100_000], 1000, seed=31):
     print(f"  {row.n:6d}  {row.mean:7.3f}  {row.stderr:7.3f}  {row.ratio:10.3f}")
 print("  (plain coalescent for comparison: mean approaches 2 for every n)")
 

@@ -284,6 +284,11 @@ def _range_errors(cfg: ExperimentConfig) -> list[tuple[str, str]]:
             all(0.0 <= t < math.inf for t in cfg.times) and any(t > 0.0 for t in cfg.times),
             f"times must be finite and >= 0 with a positive largest entry, got {list(cfg.times)}",
         ),
+        (
+            "times",  # a shorter first step needs more binomial trials than an int64 holds
+            not any(0.0 < t < 2 * _KNOT_MERGE_TOL for t in cfg.times),
+            f"positive times must be at least {2 * _KNOT_MERGE_TOL}, got {list(cfg.times)}",
+        ),
         *(
             (key, bool(v) and all(0.0 <= f <= 1.0 for f in v),
              f"{key} must be a nonempty list of entries in [0, 1], got {list(v)}")

@@ -288,16 +288,19 @@ def _knots(horizon: float, dt: float, extra: Sequence[float]):
     point within _KNOT_MERGE_TOL of the last kept knot merges into it.
 
     Returns (times, {knot index: the requested times it serves}); raises
-    ValueError past MAX_STEPS steps or for a snapshot outside (0, horizon].
+    ValueError past MAX_STEPS steps or for a snapshot outside [2 *
+    _KNOT_MERGE_TOL, horizon]: a shorter first step would need more binomial
+    trials than an int64 holds.
     """
     steps = horizon / dt + 1e-9
     if steps >= MAX_STEPS + 1:
         raise ValueError(f"a grid of T / dt = {steps:.6g} steps is past the step budget of "
                          f"{MAX_STEPS} steps (diffusion.MAX_STEPS); raise dt or lower T")
     snaps = np.array(extra, dtype=float)
-    outside = ~((0.0 < snaps) & (snaps <= horizon + _KNOT_MERGE_TOL))
+    outside = ~((2 * _KNOT_MERGE_TOL <= snaps) & (snaps <= horizon + _KNOT_MERGE_TOL))
     if outside.any():
-        raise ValueError(f"snapshot time {float(snaps[outside][0])} outside (0, horizon]")
+        raise ValueError(f"snapshot time {float(snaps[outside][0])} outside "
+                         f"[{2 * _KNOT_MERGE_TOL}, horizon] (2 * diffusion._KNOT_MERGE_TOL)")
     grid = np.arange(1, int(math.floor(steps)) + 1) * dt
     pts = np.concatenate((grid[grid < horizon - _KNOT_MERGE_TOL], [horizon], np.minimum(snaps, horizon)))
     is_snap = np.repeat([False, True], (pts.size - snaps.size, snaps.size))

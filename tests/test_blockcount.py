@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.stats import ks_2samp
 
 from seedbank import blockcount
 from seedbank.blockcount import (
@@ -371,3 +372,100 @@ def test_ensemble_stops_lanes_with_no_move():
 def test_ensemble_refuses_fewer_than_one_lane(reps):
     with pytest.raises(ValueError, match=f"reps must be at least 1, got {reps}"):
         blockcount_ensemble(BlockCountState(2, 0), P11, reps, seed=0)
+
+
+# --- the block ensemble against the scalar loop -----------------------------
+#
+# blockcount_ensemble moves each lane by blocks of merges; these tests hold
+# its laws to the one-event scalar loop, at the widths its cost rule picks
+# and at a forced width of 16 steps, which puts blocks on every state.
+
+SPONTANEOUS = ModelParams(c=1.0, K=1.0)
+README_MODEL = BETA_MODELS[0]
+# criterion 09's model that comes down from infinity: no way back from dormancy
+COMING_DOWN = ModelParams(c=0.0, K=1.0, lambda_ad=SwitchingMeasure.atom(0.5, 1.0))
+KS_LEVEL = 1e-3
+
+ABSORPTION_CASES = {
+    "1000-0-spontaneous": (BlockCountState(1000, 0), SPONTANEOUS, 60, 500),
+    "200-0-readme": (BlockCountState(200, 0), README_MODEL, 300, 500),
+    "6-2-readme": (BlockCountState(6, 2), README_MODEL, 2000, 1000),
+    # every move a merge: blocks walk down to two lines, and no rate but the
+    # merges' may be divided by
+    "30-0-kingman": (BlockCountState(30, 0), ModelParams(c=0.0), 2000, 500),
+}
+
+
+@pytest.fixture(params=[None, 16], ids=["chosen-width", "width-16"])
+def width(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(blockcount, "_block_width", lambda merge, total, lanes: request.param)
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def scalar_absorption():
+    cache = {}
+
+    def get(case):
+        if case not in cache:
+            s0, p, runs, _ = ABSORPTION_CASES[case]
+            rng = np.random.default_rng(20)
+            cache[case] = np.array([simulate_blockcount(s0, p, seed=rng)[-1][0] for _ in range(runs)])
+        return cache[case]
+
+    return get
+
+
+@pytest.mark.parametrize("case", sorted(ABSORPTION_CASES))
+def test_ensemble_absorption_law_matches_scalar_loop(case, width, scalar_absorption):
+    s0, p, _, lanes = ABSORPTION_CASES[case]
+    res = blockcount_ensemble(s0, p, lanes, seed=21)
+    assert (res.total == 1).all() and np.isfinite(res.absorption_time).all()
+    assert ks_2samp(res.absorption_time, scalar_absorption(case)).pvalue > KS_LEVEL
+
+
+def _final_states(s0, p, horizon, runs, seed, stop_at_total_one=True):
+    rng = np.random.default_rng(seed)
+    states = [simulate_blockcount(s0, p, horizon=horizon, seed=rng)[-1][1] for _ in range(runs)]
+    return np.array(states).T
+
+
+def test_ensemble_horizon_law_matches_scalar_loop(width):
+    # blocks cut at t = 0.3, lanes kept running past total 1
+    s0, horizon = BlockCountState(50, 10), 0.3
+    n_ref, m_ref = _final_states(s0, README_MODEL, horizon, 1000, seed=22)
+    res = blockcount_ensemble(s0, README_MODEL, 1000, horizon=horizon, stop_at_total_one=False, seed=23)
+    assert ks_2samp(res.n, n_ref).pvalue > KS_LEVEL
+    assert ks_2samp(res.m, m_ref).pvalue > KS_LEVEL
+
+
+def test_ensemble_horizon_law_matches_plain_steps(width, monkeypatch):
+    # criterion 09's probe: 1000 lines cut at t = 0.05, near 40 lines left;
+    # the reference is the same ensemble at width 1, plain Gillespie steps
+    s0, horizon = BlockCountState(1000, 0), 0.05
+    res = blockcount_ensemble(s0, COMING_DOWN, 1000, horizon=horizon, seed=24)
+    monkeypatch.setattr(blockcount, "_block_width", lambda merge, total, lanes: 1)
+    ref = blockcount_ensemble(s0, COMING_DOWN, 1000, horizon=horizon, seed=25)
+    assert ks_2samp(res.n, ref.n).pvalue > KS_LEVEL
+    assert ks_2samp(res.m, ref.m).pvalue > KS_LEVEL
+    assert abs(res.total.mean() - ref.total.mean()) <= 3.5 * math.hypot(
+        res.total.std(ddof=1), ref.total.std(ddof=1)) / math.sqrt(1000)
+
+
+def test_tmrca_scan_matches_first_step():
+    rows = tmrca_loglog_scan(SPONTANEOUS, [100, 400], 1000, seed=26)
+    for row in rows:
+        want = expected_tmrca_first_step(BlockCountState(row.n, 0), SPONTANEOUS)
+        assert abs(row.mean - want) <= 3.5 * row.stderr
+
+
+def test_block_width_rule():
+    one = np.ones(1)
+    # a Kingman model has no move but merges: the widest block the budget allows
+    assert blockcount._block_width(one * 10.0, one * 10.0, 300) == blockcount._BLOCK_ELEMENTS // 300
+    # few lines, or thousands of lanes: plain steps
+    assert blockcount._block_width(np.full(300, 1.0), np.full(300, 3.0), 300) == 1
+    assert blockcount._block_width(np.full(4000, 1e6), np.full(4000, 1e6 + 1.0), 4000) == 1
+    # many lines in few lanes: a wide block
+    assert blockcount._block_width(np.full(300, 5e7), np.full(300, 5e7 + 1e4), 300) > 16

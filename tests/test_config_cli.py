@@ -198,6 +198,13 @@ def test_range_error_names_key_and_line():
         ),
         *(
             (
+                f"[experiment]\nkind = duality\ntimes = {raw}\n",
+                [(3, f"positive times must be at least 2e-12, got {got}")],
+            )
+            for raw, got in (("1e-20 0.1", "[1e-20, 0.1]"), ("0.0 1e-12 0.5", "[0.0, 1e-12, 0.5]"))
+        ),
+        *(
+            (
                 f"[experiment]\nkind = duality\n\n{key} = {raw}\n",
                 [(4, f"{key} must be a nonempty list of entries in [0, 1], got {got}")],
             )
@@ -289,6 +296,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "line" in err and "K" in err
+    # a snapshot time too close to 0 is a config error, before any step
+    bad.write_text("[experiment]\nkind = duality\ntimes = 1e-20 0.1\n\n[numeric]\ndt = 0.01\n")
+    assert main(["duality", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "positive times must be at least 2e-12" in err
 
 
 def test_cli_out_override_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -37,6 +37,11 @@ def test_settings_validation():
     with pytest.raises(ValueError, match="need 2e-12 <= dt <= horizon"):
         IntegratorSettings(horizon=1e-6, dt=1e-12)
     assert len(_knots(1e-6, 2e-12, ())[0]) == 500_000
+    # a snapshot that close to 0 would be a first step of more binomial
+    # trials than an int64 holds
+    with pytest.raises(ValueError, match=r"snapshot time 1e-20 outside \[2e-12, horizon\]"):
+        _knots(0.1, 0.01, (1e-20, 0.1))
+    assert _knots(0.1, 0.01, (2e-12,))[1] == {0: [2e-12]}
     with pytest.raises(ValueError):
         IntegratorSettings(horizon=1.0, jump_cutoff=1.5)
     for tol in (-0.1, 0.5, math.nan):

@@ -431,8 +431,9 @@ def _same_bytes(a, b):
 @settings(max_examples=150, deadline=None)
 @given(batch_runs())
 def test_batch_paths_match_the_gather_scatter_loop(run):
-    # a first knot within about 1e-19 of time 0 is a step too short for the
-    # binomial model: both loops refuse it
+    # both loops refuse what _knots refuses, a snapshot time below 2e-12
+    # among them; a jump within about 1e-19 after a knot would still be a
+    # step too short for the binomial model
     with np.errstate(invalid="ignore"):
         got, ref = (_outcome(run_batch, run) for run_batch in (batch_paths, _batch_paths_reference))
     if isinstance(ref, ValueError):
@@ -469,8 +470,9 @@ def _knots_reference(horizon: float, dt: float, extra: Sequence[float]):
     pts.append((horizon, False))
     for s in extra:
         s = float(s)
-        if not 0.0 < s <= horizon + _KNOT_MERGE_TOL:
-            raise ValueError(f"snapshot time {s} outside (0, horizon]")
+        if not 2 * _KNOT_MERGE_TOL <= s <= horizon + _KNOT_MERGE_TOL:
+            raise ValueError(f"snapshot time {s} outside [{2 * _KNOT_MERGE_TOL}, horizon] "
+                             "(2 * diffusion._KNOT_MERGE_TOL)")
         pts.append((min(s, horizon), True))
     pts.sort()
     times: list[float] = []
