@@ -32,6 +32,17 @@ lines, the positive-rate moves, their running rate sums and the total, and
 one ``bisect`` on the sums picks a move.  The ensemble keeps its live lanes
 in compacted arrays in lane order, builds the running rate sums one category
 at a time and drops lanes only when some stop.
+
+Lanes in lockstep pay an iteration's fixed cost once per event of the
+busiest lane, and a sample of n lines merges n - 1 times.  So the ensemble
+moves each lane by a block per iteration: one event of any kind, then a walk
+down the merge path (a, d), (a - 1, d), ... that applies merges until the
+first drawn step that is not one.  That step is kept, drawn time and
+uniform, as the lane's next event, so every draw is used once and the law is
+the one-event loop's.  The block's width follows the live lanes' merge share
+and the measured cost of an iteration, and is 1 (no walk) where blocks do
+not pay: with few lines, where merges are rare, or with thousands of lanes,
+where the walk's per-lane work outweighs the fixed cost it saves.
 """
 
 from __future__ import annotations
