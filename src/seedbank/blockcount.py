@@ -312,11 +312,12 @@ _BLOCK_COST = 1200.0
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def _block_width(merge, total, lanes: int) -> int:
+def _block_width(merges: int, fresh: int, lanes: int) -> int:
     """Steps per block that maximise events per unit of work; 1 where blocks do not pay.
 
-    ``merge`` and ``total`` are the live lanes' merge and total rates.  With
-    merge share p, a block of w steps moves a lane (1 - p^w) / (1 - p)
+    ``merges`` of the ``fresh`` of ``lanes`` live lanes that drew their last
+    step afresh took a merge, a merge share p (0 when none drew afresh).  A
+    block of w steps moves a lane (1 - p^w) / (1 - p)
     events at a cost of A + w block steps per lane, against ``one`` for a
     plain step.  For small q = 1 - p the best w lies near
     sqrt(A^2 + 2A/q) - A; it is capped at _BLOCK_ELEMENTS / lanes and kept
@@ -326,13 +327,12 @@ def _block_width(merge, total, lanes: int) -> int:
     cap = _BLOCK_ELEMENTS // lanes
     if cap < 2 or one <= 1.0:
         return 1  # a block step costs a lane as much as a plain step
-    merge, total = float(merge.sum()), float(total.sum())
-    rest = total - merge  # the rate of every move but a merge
     a = (_STEP_COST + _BLOCK_COST) / lanes + _LANE_COST - 1.0
-    width = cap if rest <= 0.0 else min(cap, max(2, round(math.sqrt(a * a + 2.0 * a * total / rest) - a)))
-    p = merge / total
-    gain = (1.0 - p**width) / (1.0 - p) if p < 1.0 else width
-    return width if gain * one > a + width else 1
+    q = 1.0 - merges / fresh if fresh else 1.0
+    if q <= 0.0:
+        return cap if cap * one > a + cap else 1
+    width = min(cap, max(2, round(math.sqrt(a * a + 2.0 * a / q) - a)))
+    return width if (1.0 - (1.0 - q) ** width) / q * one > a + width else 1
 
 
 def blockcount_ensemble(
@@ -441,7 +441,6 @@ def blockcount_ensemble(
         if np.count_nonzero(stuck):
             keep = stop(stuck)
             sums = [s[keep] for s in sums]
-        width = _block_width(sums[0], sums[-1], lane.size) if lane.size else 1
 
         # step 0; the draws of rng.exponential(1.0 / total), without its
         # argument checks
@@ -466,6 +465,14 @@ def blockcount_ensemble(
         below = [x < s for s in sums[:-1]]
         taken = [below[0], *(b ^ a for a, b in zip(below, below[1:])), ~below[-1]]
         merged, deactivated, activated, *clocks = taken
+        # the merge share of the lanes that drew step 0 afresh sets the width
+        # of the blocks; a kept step is a merge less often than a fresh one
+        if waiting is None:
+            fresh, merges = lane.size, np.count_nonzero(merged)
+        else:
+            fresh = lane.size - np.count_nonzero(waiting)
+            merges = np.count_nonzero(merged) - np.count_nonzero(merged & waiting)
+        width = _block_width(merges, fresh, lane.size) if lane.size else 1
         na -= merged
         na -= deactivated
         ma += deactivated
