@@ -312,25 +312,28 @@ _BLOCK_COST = 1200.0
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def _block_width(merges: int, fresh: int, lanes: int) -> int:
+def _block_width(merged: np.ndarray, waiting: Optional[np.ndarray]) -> int:
     """Steps per block that maximise events per unit of work; 1 where blocks do not pay.
 
-    ``merges`` of the ``fresh`` of ``lanes`` live lanes that drew their last
-    step afresh took a merge, a merge share p (0 when none drew afresh).  A
-    block of w steps moves a lane (1 - p^w) / (1 - p)
-    events at a cost of A + w block steps per lane, against ``one`` for a
-    plain step.  For small q = 1 - p the best w lies near
-    sqrt(A^2 + 2A/q) - A; it is capped at _BLOCK_ELEMENTS / lanes and kept
-    only if it beats plain steps.
+    ``merged`` marks the live lanes whose last step was a merge.  Of the k
+    lanes that drew that step afresh (``waiting`` marks the others, which
+    kept a step that is a merge less often), j merged; the merge share is
+    taken as p = (j + 1) / (k + 2), so that a few lanes that all merged by
+    chance do not call for the widest block.  A block of w steps moves a lane (1 - p^w) / (1 - p) events at a cost of
+    A + w block steps per lane, against ``one`` for a plain step.  For small
+    q = 1 - p the best w lies near sqrt(A^2 + 2A/q) - A; it is capped at
+    _BLOCK_ELEMENTS / lanes and kept only if it beats plain steps.
     """
+    lanes = merged.size
     one = _STEP_COST / lanes + _LANE_COST
     cap = _BLOCK_ELEMENTS // lanes
     if cap < 2 or one <= 1.0:
         return 1  # a block step costs a lane as much as a plain step
-    a = (_STEP_COST + _BLOCK_COST) / lanes + _LANE_COST - 1.0
-    q = 1.0 - merges / fresh if fresh else 1.0
-    if q <= 0.0:
-        return cap if cap * one > a + cap else 1
+    if waiting is not None:
+        lanes -= np.count_nonzero(waiting)
+        merged = merged & ~waiting
+    q = 1.0 - (np.count_nonzero(merged) + 1.0) / (lanes + 2.0)
+    a = (_STEP_COST + _BLOCK_COST) / merged.size + _LANE_COST - 1.0
     width = min(cap, max(2, round(math.sqrt(a * a + 2.0 * a / q) - a)))
     return width if (1.0 - (1.0 - q) ** width) / q * one > a + width else 1
 
@@ -367,9 +370,9 @@ def blockcount_ensemble(
     That step, drawn at the state the lane is now in, is kept with its time
     and uniform as the lane's next step 0.  Every draw is fresh and the end
     is a stopping time, so dropping the draws after it keeps the law of the
-    one-step loop.  w is set each iteration from the live lanes' merge share
-    against the cost of an iteration (``_block_width``): about 1 / (1 -
-    share) while the fixed cost of an iteration dominates, at most
+    one-step loop.  w is set each iteration from the merge share of the
+    lanes' step 0 against the cost of an iteration (``_block_width``): about
+    1 / (1 - share) while the fixed cost of an iteration dominates, at most
     _BLOCK_ELEMENTS / lanes, and 1, with no block at all, where blocks do
     not pay: with few lines or thousands of lanes.
 
@@ -436,14 +439,14 @@ def blockcount_ensemble(
             ma[sel] -= k
 
     while lane.size:
-        sums = rate_sums(na.astype(float), ma)
+        sums = rate_sums(na, ma)
         stuck = sums[-1] <= 0.0
         if np.count_nonzero(stuck):
             keep = stop(stuck)
             sums = [s[keep] for s in sums]
 
-        # step 0; the draws of rng.exponential(1.0 / total), without its
-        # argument checks
+        # step 0: an exponential holding time at the total rate, or the
+        # time a waiting lane kept
         t_next = t + rng.standard_exponential(lane.size) / sums[-1]
         if waiting is not None:
             np.copyto(t_next, t_kept, where=waiting)
@@ -465,14 +468,7 @@ def blockcount_ensemble(
         below = [x < s for s in sums[:-1]]
         taken = [below[0], *(b ^ a for a, b in zip(below, below[1:])), ~below[-1]]
         merged, deactivated, activated, *clocks = taken
-        # the merge share of the lanes that drew step 0 afresh sets the width
-        # of the blocks; a kept step is a merge less often than a fresh one
-        if waiting is None:
-            fresh, merges = lane.size, np.count_nonzero(merged)
-        else:
-            fresh = lane.size - np.count_nonzero(waiting)
-            merges = np.count_nonzero(merged) - np.count_nonzero(merged & waiting)
-        width = _block_width(merges, fresh, lane.size) if lane.size else 1
+        width = _block_width(merged, waiting) if lane.size else 1
         na -= merged
         na -= deactivated
         ma += deactivated
@@ -500,7 +496,9 @@ def blockcount_ensemble(
         waiting = None
         if width > 1 and lane.size:
             # steps 1 to w - 1, one row each: j merges from (a, d), held at
-            # two active lines (a stand-in state where a < 2)
+            # two active lines (a stand-in state where a < 2); the rows are
+            # floats, and their rates equal step 0's integer ones bit for bit
+            # (a(a - 1) is exact in int64 and rounds once either way)
             steps, size = width - 1, lane.size
             row = np.maximum(na - np.arange(steps)[:, None], 2.0)
             sums = rate_sums(row, ma)

@@ -399,7 +399,7 @@ ABSORPTION_CASES = {
 @pytest.fixture(params=[None, 16], ids=["chosen-width", "width-16"])
 def width(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(blockcount, "_block_width", lambda merges, fresh, lanes: request.param)
+        monkeypatch.setattr(blockcount, "_block_width", lambda merged, waiting: request.param)
     return request.param
 
 
@@ -445,7 +445,7 @@ def test_ensemble_horizon_law_matches_plain_steps(width, monkeypatch):
     # the reference is the same ensemble at width 1, plain Gillespie steps
     s0, horizon = BlockCountState(1000, 0), 0.05
     res = blockcount_ensemble(s0, COMING_DOWN, 1000, horizon=horizon, seed=24)
-    monkeypatch.setattr(blockcount, "_block_width", lambda merges, fresh, lanes: 1)
+    monkeypatch.setattr(blockcount, "_block_width", lambda merged, waiting: 1)
     ref = blockcount_ensemble(s0, COMING_DOWN, 1000, horizon=horizon, seed=25)
     assert ks_2samp(res.n, ref.n).pvalue > KS_LEVEL
     assert ks_2samp(res.m, ref.m).pvalue > KS_LEVEL
@@ -461,13 +461,18 @@ def test_tmrca_scan_matches_first_step():
 
 
 def test_block_width_rule():
-    width = blockcount._block_width
-    # a Kingman model has no move but merges: the widest block the budget allows
-    assert width(300, 300, 300) == blockcount._BLOCK_ELEMENTS // 300
+    def width(merges, lanes, waiting=0):
+        merged = np.arange(lanes) < merges
+        return blockcount._block_width(merged, np.arange(lanes) >= lanes - waiting if waiting else None)
+
+    # every lane merged: the widest block the budget allows
+    assert width(300, 300) == blockcount._BLOCK_ELEMENTS // 300
     # few lines, or thousands of lanes: plain steps
-    assert width(100, 300, 300) == 1
-    assert width(4000, 4000, 4000) == width(4000 - 1, 4000, 4000) == 1
+    assert width(100, 300) == 1
+    assert width(4000, 4000) == width(4000 - 1, 4000) == 1
     # many lines in few lanes: a wide block
-    assert width(299, 300, 300) > 16
+    assert width(299, 300) > 16
     # the share counts only lanes that drew afresh
-    assert width(99, 100, 300) == width(297, 300, 300) < width(299, 300, 300)
+    assert width(300, 300, waiting=200) == width(100, 300, waiting=200) > width(100, 300) == 1
+    # one lane that merged once is no evidence for a block
+    assert width(1, 1) == 1
