@@ -319,10 +319,11 @@ def _block_width(merged: np.ndarray, waiting: Optional[np.ndarray]) -> int:
     lanes that drew that step afresh (``waiting`` marks the others, which
     kept a step that is a merge less often), j merged; the merge share is
     taken as p = (j + 1) / (k + 2), so that a few lanes that all merged by
-    chance do not call for the widest block.  A block of w steps moves a lane (1 - p^w) / (1 - p) events at a cost of
-    A + w block steps per lane, against ``one`` for a plain step.  For small
-    q = 1 - p the best w lies near sqrt(A^2 + 2A/q) - A; it is capped at
-    _BLOCK_ELEMENTS / lanes and kept only if it beats plain steps.
+    chance do not call for the widest block.  A block of w steps moves a
+    lane (1 - p^w) / (1 - p) events at a cost of A + w block steps per lane,
+    against ``one`` for a plain step.  For small q = 1 - p the best w lies
+    near sqrt(A^2 + 2A/q) - A; it is capped at _BLOCK_ELEMENTS / lanes and
+    kept only if it beats plain steps.
     """
     lanes = merged.size
     one = _STEP_COST / lanes + _LANE_COST
@@ -330,10 +331,12 @@ def _block_width(merged: np.ndarray, waiting: Optional[np.ndarray]) -> int:
     if cap < 2 or one <= 1.0:
         return 1  # a block step costs a lane as much as a plain step
     if waiting is not None:
-        lanes -= np.count_nonzero(waiting)
+        lanes -= int(np.count_nonzero(waiting))
         merged = merged & ~waiting
-    q = 1.0 - (np.count_nonzero(merged) + 1.0) / (lanes + 2.0)
+    q = 1.0 - (int(np.count_nonzero(merged)) + 1.0) / (lanes + 2.0)  # Python floats are cheaper
     a = (_STEP_COST + _BLOCK_COST) / merged.size + _LANE_COST - 1.0
+    if q * (a + 2.0) >= one:
+        return 1  # even an endless block, 1 / q events, would not pay
     width = min(cap, max(2, round(math.sqrt(a * a + 2.0 * a / q) - a)))
     return width if (1.0 - (1.0 - q) ** width) / q * one > a + width else 1
 
