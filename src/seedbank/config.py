@@ -285,7 +285,7 @@ def _range_errors(cfg: ExperimentConfig) -> list[tuple[str, str]]:
             f"times must be finite and >= 0 with a positive largest entry, got {list(cfg.times)}",
         ),
         (
-            "times",  # a shorter first step needs more binomial trials than an int64 holds
+            "times",  # the bound on dt: a first step near 1e-19 would overflow the binomial trials
             not any(0.0 < t < 2 * _KNOT_MERGE_TOL for t in cfg.times),
             f"positive times must be at least {2 * _KNOT_MERGE_TOL}, got {list(cfg.times)}",
         ),

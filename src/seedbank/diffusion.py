@@ -289,8 +289,8 @@ def _knots(horizon: float, dt: float, extra: Sequence[float]):
 
     Returns (times, {knot index: the requested times it serves}); raises
     ValueError past MAX_STEPS steps or for a snapshot outside [2 *
-    _KNOT_MERGE_TOL, horizon]: a shorter first step would need more binomial
-    trials than an int64 holds.
+    _KNOT_MERGE_TOL, horizon], the bound on dt (a first step of about 1e-19
+    would need more binomial trials than an int64 holds).
     """
     steps = horizon / dt + 1e-9
     if steps >= MAX_STEPS + 1:

@@ -425,7 +425,7 @@ def test_ensemble_absorption_law_matches_scalar_loop(case, width, scalar_absorpt
     assert ks_2samp(res.absorption_time, scalar_absorption(case)).pvalue > KS_LEVEL
 
 
-def _final_states(s0, p, horizon, runs, seed, stop_at_total_one=True):
+def _final_states(s0, p, horizon, runs, seed):
     rng = np.random.default_rng(seed)
     states = [simulate_blockcount(s0, p, horizon=horizon, seed=rng)[-1][1] for _ in range(runs)]
     return np.array(states).T
