@@ -14,6 +14,7 @@ from seedbank import (
     expected_branch_lengths_first_step,
     expected_tmrca_first_step,
 )
+from seedbank.streams import mean_stderr
 
 params = ModelParams(c=1.0, K=1.0)
 
@@ -32,8 +33,7 @@ print(f"expected active/dormant branch lengths: {la}, {ld}")
 
 # The Gillespie ensemble reproduces the exact value within Monte Carlo error.
 res = blockcount_ensemble(BlockCountState(2, 0), params, 100_000, seed=1)
-mean = res.absorption_time.mean()
-se = res.absorption_time.std(ddof=1) / 100_000**0.5
+mean, se = mean_stderr(res.absorption_time)
 print(f"simulated mean over 1e5 replicates: {mean:.4f} +- {se:.4f}")
 
 # Larger samples: the triangle grows quadratically but stays tiny.

@@ -285,7 +285,10 @@ def _knots(horizon: float, dt: float, extra: Sequence[float]):
     """The knots both integrators walk: the grid times k * dt below the
     horizon, the horizon and the snapshot times clipped to it, sorted by time
     (a grid point before a snapshot at the same time) in one ``lexsort``; a
-    point within _KNOT_MERGE_TOL of the last kept knot merges into it.
+    point within _KNOT_MERGE_TOL of the point before it joins that point's
+    knot, so each knot is the first point of a run of sub-tolerance gaps,
+    consecutive knots are at least _KNOT_MERGE_TOL apart, and a run longer
+    than the tolerance is still one knot.
 
     Returns (times, {knot index: the requested times it serves}); raises
     ValueError past MAX_STEPS steps or for a snapshot outside [2 *
@@ -307,12 +310,6 @@ def _knots(horizon: float, dt: float, extra: Sequence[float]):
     order = np.lexsort((is_snap, pts))
     pts, is_snap = pts[order], is_snap[order]
     keep = np.diff(pts, prepend=-math.inf) >= _KNOT_MERGE_TOL
-    if (pts - pts[keep][np.cumsum(keep) - 1] >= _KNOT_MERGE_TOL).any():
-        # a run of close points spans the tolerance: merge one by one
-        last = -math.inf
-        for i, t in enumerate(pts.tolist()):
-            keep[i] = t - last >= _KNOT_MERGE_TOL
-            last = t if keep[i] else last
     snap_map: dict[int, list[float]] = {}
     for k, s in zip((np.cumsum(keep)[is_snap] - 1).tolist(), pts[is_snap].tolist()):
         snap_map.setdefault(k, []).append(s)

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seedbank.blockcount import (
@@ -454,7 +454,8 @@ def test_batch_paths_match_the_gather_scatter_loop(run):
 
 # the list-of-tuples grid builder that ``_knots`` replaced, kept as its reference
 def _knots_reference(horizon: float, dt: float, extra: Sequence[float]):
-    """Grid times plus exact insertion of the requested snapshot times.
+    """Grid times plus exact insertion of the requested snapshot times; a
+    point within _KNOT_MERGE_TOL of the point before it joins that point's knot.
 
     Returns (times, snap_map) where snap_map maps a knot index to the
     requested times that knot serves; both integrators walk this grid.
@@ -477,14 +478,13 @@ def _knots_reference(horizon: float, dt: float, extra: Sequence[float]):
     pts.sort()
     times: list[float] = []
     snap_map: dict[int, list[float]] = {}
+    previous = -math.inf
     for t, is_snap in pts:
-        if times and t - times[-1] < _KNOT_MERGE_TOL:
-            if is_snap:
-                snap_map.setdefault(len(times) - 1, []).append(t)
-            continue
-        times.append(t)
+        if t - previous >= _KNOT_MERGE_TOL:
+            times.append(t)
         if is_snap:
             snap_map.setdefault(len(times) - 1, []).append(t)
+        previous = t
     return times, snap_map
 
 
@@ -517,11 +517,35 @@ def _grid_or_error(build, horizon, dt, extra):
 
 @settings(max_examples=300, deadline=None)
 @given(knot_grids())
+@example((1.0, 0.25, (0.5 + 6e-13, 0.5 + 1.2e-12)))  # a run of two sub-tolerance gaps spanning 1.2e-12
 def test_knots_match_the_list_builder(grid):
     got = _grid_or_error(_knots, *grid)
     assert got == _grid_or_error(_knots_reference, *grid)
     if not isinstance(got, str):
         assert all(type(t) is float for t in got[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(knot_grids())
+@example((1.0, 0.25, (0.5 + 6e-13, 0.5 + 1.2e-12)))
+def test_knots_serve_each_time_from_the_start_of_its_run(grid):
+    horizon, dt, extra = grid
+    got = _grid_or_error(_knots, horizon, dt, extra)
+    if isinstance(got, str):
+        return
+    times, snap_map = got
+    assert all(b - a >= _KNOT_MERGE_TOL for a, b in zip(times, times[1:]))
+    steps = int(math.floor(horizon / dt + 1e-9))
+    grid_pts = [t for t in (k * dt for k in range(1, steps + 1)) if t < horizon - _KNOT_MERGE_TOL]
+    pts = np.sort(np.array(grid_pts + [horizon] + [min(s, horizon) for s in extra]))
+    assert sorted(s for served in snap_map.values() for s in served) == sorted(min(s, horizon) for s in extra)
+    for k, served in snap_map.items():
+        before = pts[pts < times[k]]
+        assert before.size == 0 or times[k] - before[-1] >= _KNOT_MERGE_TOL  # the knot starts a run
+        for s in served:
+            run = pts[(pts >= times[k]) & (pts <= s)]
+            assert run[0] == times[k] and (np.diff(run) < _KNOT_MERGE_TOL).all()  # s lies in that run
+
 
 @st.composite
 def wf_configs(draw):

@@ -1,31 +1,24 @@
-"""Time the block-count ensemble in-process, alternately in two checkouts.
+"""The block-count ensemble probes, timed in-process on the importable library.
 
-    python3 tools/ensemble_probes.py PARENT CHANGE --pairs N [--out probes.json]
+    python3 tools/ensemble_probes.py --measure SEED
 
-PARENT and CHANGE are the roots of two seedbank checkouts.  Pair i starts
-one fresh Python process per checkout (the parent first on even i), each
-importing the library from its own ``src`` and timing every probe below
-with seed i, best of three; the probes are those of the ``tmrca-scan``
-experiment of the benchmark's genealogy workload (its model, n = 20 ...
-10^4, 300 lanes), n = 10^5 on 300 lanes, and three wide or short runs.  A
-further untimed run per probe counts the loop's iterations: the
-exponential draws of one step per lane ("steps") and of a block of steps
-per lane ("blocks").  The output file holds every time, the run order and
-per probe the change / parent ratios of the pairs.
+prints one JSON line: per probe the best of three seconds, every time and
+the loop's iterations, counted in a further untimed run: the exponential
+draws of one step per lane ("steps") and of a block of steps per lane
+("blocks").  The probes are those of the ``tmrca-scan`` experiment of the
+benchmark's genealogy workload (its model, n = 20 ... 10^4, 300 lanes),
+n = 10^5 on 300 lanes, and three wide or short runs; ``tmrca_scan_config``
+is the sum of the scan's best seconds.  ``tools/bench_pair.py PARENT CHANGE
+--workload ensemble --pairs N`` runs this alternately on two checkouts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-SIDES = ("parent", "change")
 REPEATS = 3
 
 
@@ -47,7 +40,7 @@ def probes():
 
 
 def measure(seed: int) -> dict:
-    """Best-of-three seconds and loop iteration counts of every probe."""
+    """Best-of-three seconds and loop iteration counts of every probe, and the tmrca-scan total."""
     import numpy as np
 
     from seedbank.blockcount import blockcount_ensemble
@@ -74,56 +67,15 @@ def measure(seed: int) -> dict:
         rng = Counting(seed)
         blockcount_ensemble(s0, params, lanes, seed=rng)
         out[name] = {"best_s": min(times), "times_s": times, "steps": rng.steps, "blocks": rng.blocks}
+    out["tmrca_scan_config"] = {"best_s": sum(p["best_s"] for n, p in out.items() if n.startswith("tmrca_scan_"))}
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path, nargs="?")
-    parser.add_argument("change", type=Path, nargs="?")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", type=Path, default=Path("probes.json"))
-    parser.add_argument("--measure", type=int, metavar="SEED", help="time the importable library with SEED")
-    args = parser.parse_args(argv)
-    if args.measure is not None:
-        print(json.dumps(measure(args.measure)))
-        return 0
-
-    order, runs = [], {side: [] for side in SIDES}
-    for i in range(args.pairs):
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            root = (args.parent if side == "parent" else args.change).resolve()
-            env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-            proc = subprocess.run([sys.executable, __file__, "--measure", str(i)], env=env, cwd=root,
-                                  capture_output=True, text=True, check=True)
-            order.append(f"probes-{i}-{side} {time.strftime('%H:%M:%S')}")
-            runs[side].append({"seed": i, "probes": json.loads(proc.stdout.splitlines()[-1])})
-            print(order[-1], flush=True)
-
-    names = list(runs["parent"][0]["probes"])
-    scan = [n for n in names if n.startswith("tmrca_scan_")]
-    for side in SIDES:
-        for run in runs[side]:
-            run["probes"]["tmrca_scan_config"] = {"best_s": sum(run["probes"][n]["best_s"] for n in scan)}
-    summary = {}
-    for name in names + ["tmrca_scan_config"]:
-        best = {side: [r["probes"][name]["best_s"] for r in runs[side]] for side in SIDES}
-        ratios = [c / p for p, c in zip(best["parent"], best["change"])]
-        summary[name] = {
-            "parent_best_s": best["parent"],
-            "change_best_s": best["change"],
-            "change_over_parent": ratios,
-            "median_ratio": statistics.median(ratios),
-            "max_ratio": max(ratios),
-            "change_faster_pairs": sum(r < 1.0 for r in ratios),
-        }
-    record = {
-        "command": f"python3 tools/ensemble_probes.py PARENT CHANGE --pairs {args.pairs}",
-        "run_order": order,
-        "summary": summary,
-        "runs": runs,
-    }
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    parser.add_argument("--measure", type=int, metavar="SEED", required=True,
+                        help="time the importable library with SEED")
+    print(json.dumps(measure(parser.parse_args(argv).measure)))
     return 0
 
 
