@@ -72,6 +72,7 @@ from .mutation_stats import (
     fu_li_d_numerator,
     segregating_sites,
     sfs,
+    sfs_ensemble,
     singletons,
     theta_pi,
 )

@@ -21,10 +21,11 @@ The scalar loop and the oracles read the chain's switching rates from one
 cached rate row per (measure, eligible count, single-line rate), one
 ``group_switch_rate`` call each, and their targets from ``_after``: the
 scalar loop through one category list (``_categories``), the oracles through
-one lattice (``_generator``), tested against the rate table.  The ensemble
-reads no rows: it runs the spontaneous moves at their per-line rates and each
-atom and Beta component on its own event clock, which reproduce the rows'
-aggregate rates in law.
+one lattice (``_generator``), tested against the rate table.  The ensembles
+(this module's, and ``mutation_stats.sfs_ensemble`` on marked block sizes)
+read no rows: one move rule (``_Clocks``) runs the spontaneous moves at their
+per-line rates and each atom and Beta component on its own event clock,
+which reproduce the rows' aggregate rates in law.
 
 The scalar loop pays for its random draws and little else: a move table per
 model (``_move_table``) keeps, for each state of at most ``_CACHED_LINES``
@@ -102,6 +103,17 @@ TO_ACTIVE = "to_active"
 # a scalar run stores every event (about 180 bytes each in a genealogy); past
 # this many it stops with an error instead of growing without bound
 MAX_EVENTS = 1_000_000
+
+
+def _stalled(t: float, t_next: float, total: float) -> ValueError:
+    """The error of an event time that is not finite or not above the last one."""
+    return ValueError(f"event time {t_next!r} does not advance the clock from {t!r} at total rate {total!r}")
+
+
+def _over_budget() -> ValueError:
+    """The error of a run past MAX_EVENTS events."""
+    return ValueError(f"stopped at the event budget of {MAX_EVENTS} events "
+                      "(blockcount.MAX_EVENTS); pass a horizon to bound the run")
 
 
 def _categories(a: int, d: int, params: ModelParams) -> list[tuple[str, int, float]]:
@@ -254,12 +266,10 @@ def _jumps(s0: BlockCountState, params: ModelParams, rng, *, horizon, stop_at_to
         if horizon is not None and t_next > horizon:
             return
         if not t < t_next < math.inf:
-            raise ValueError(f"event time {t_next!r} does not advance the clock from {t!r} "
-                             f"at total rate {total!r}")
+            raise _stalled(t, t_next, total)
         events += 1
         if events > MAX_EVENTS:
-            raise ValueError(f"stopped at the event budget of {MAX_EVENTS} events "
-                             "(blockcount.MAX_EVENTS); pass a horizon to bound the run")
+            raise _over_budget()
         # rng.random() * total is the double rng.uniform(0.0, total) draws, at a third of its cost
         kind, k, counts = moves.pick(rng.random() * total)
         t = t_next
@@ -299,6 +309,75 @@ class EnsembleResult:
     @property
     def total(self) -> np.ndarray:
         return self.n + self.m
+
+
+class _Clocks:
+    """The vectorised move rule of the ensembles: one event per lane.
+
+    The categories are the merge, single deactivation, single activation,
+    one clock per atom and one per Beta component (to-dormant before
+    to-active within each kind).  Every Beta clock comes after every atom
+    clock, so the random draws of an atom-only model do not depend on them.
+
+    A Beta clock runs at a rate proportional to its eligible lines; an atom
+    clock runs at w/z, and with ``idle_atoms=False`` only while it has an
+    eligible line.  Both give the same law, but a run whose lanes wait long
+    in a state where an atom can flip nothing (c = 1e-300 from two dormant
+    lines) takes one silent event per unit of time with idle atom clocks.
+    ``blockcount_ensemble`` keeps them, so that its draws stay as they were.
+    """
+
+    def __init__(self, params: ModelParams, *, idle_atoms: bool):
+        self.c, self.K = params.c, params.K
+        self.idle_atoms = idle_atoms
+        # (to_dormant, z, rate) per atom, (to_dormant, alpha, beta, mass) per Beta component
+        self.atoms = [(True, z, w / z) for z, w in params.lambda_ad.atoms]
+        self.atoms += [(False, z, w / z) for z, w in params.lambda_da.atoms]
+        self.betas = [(True, a, b, w) for a, b, w in params.lambda_ad.beta_components]
+        self.betas += [(False, a, b, w) for a, b, w in params.lambda_da.beta_components]
+
+    def rate_sums(self, na, ma) -> list:
+        """Running rate sums over the categories, added left to right; the
+        last one is the total rate."""
+        c, K = self.c, self.K
+        if self.idle_atoms:
+            atoms = (r for _, _, r in self.atoms)
+        else:
+            atoms = (r * ((na if to_dormant else ma) > 0) for to_dormant, _, r in self.atoms)
+        sums = [na * (na - 1) / 2.0]
+        for rate in (c * na, c * K * ma, *atoms,
+                     *(w * (na if to_dormant else ma) for to_dormant, _, _, w in self.betas)):
+            sums.append(sums[-1] + rate)
+        return sums
+
+    def moves(self, rng, x, sums, na, ma) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """(merged, deactivated, activated, flips): the masks of the lanes
+        that merge, deactivate one line and activate one line, and per clock
+        that fired, (its lanes' mask, the lines each flips, to_dormant).
+
+        A lane takes the first category whose running sum exceeds x.  The
+        sums never decrease, so each mask of lanes below a sum holds the one
+        before it, and a zero-rate category (its sum equals the one before)
+        is never taken.  An atom clock flips Binomial(count, z) lines; a Beta
+        clock draws z ~ Beta(alpha, beta) and k = 1 + Binomial(count - 1, z)
+        and flips k lines with probability 1/k.  A draw of 0 or a rejection
+        flips nothing.
+        """
+        below = [x < s for s in sums[:-1]]
+        taken = [below[0], *(b ^ a for a, b in zip(below, below[1:])), ~below[-1]]
+        merged, deactivated, activated, *clocks = taken
+        flips = []
+        for (to_dormant, z, _), sel in zip(self.atoms, clocks):
+            if np.count_nonzero(sel):
+                flips.append((sel, rng.binomial(na[sel] if to_dormant else ma[sel], z), to_dormant))
+        for (to_dormant, a, b, _), sel in zip(self.betas, clocks[len(self.atoms):]):
+            if np.count_nonzero(sel):
+                count = na[sel] if to_dormant else ma[sel]
+                z = rng.beta(a, b, size=count.size)
+                k = 1 + rng.binomial(count - 1, z)
+                k[rng.random(count.size) * k >= 1.0] = 0  # accept with probability 1/k
+                flips.append((sel, k, to_dormant))
+        return merged, deactivated, activated, flips
 
 
 # The cost of one iteration, in units of one block step of one lane (timed
@@ -397,23 +476,7 @@ def blockcount_ensemble(
         if stop_at_total_one:
             return EnsembleResult(n=n, m=m, absorption_time=absorbed_at)
 
-    # (to_dormant, ...) per clock; the Beta columns come after every atom
-    # column, so the random draws of an atom-only model do not depend on them
-    atoms = [(True, z, w / z) for z, w in params.lambda_ad.atoms]
-    atoms += [(False, z, w / z) for z, w in params.lambda_da.atoms]
-    betas = [(True, a, b, w) for a, b, w in params.lambda_ad.beta_components]
-    betas += [(False, a, b, w) for a, b, w in params.lambda_da.beta_components]
-    c, K = params.c, params.K
-
-    def rate_sums(na, ma):
-        # running rate sums over the categories (merge, single deactivation,
-        # single activation, atom clocks, Beta clocks), added left to right;
-        # the last one is the total rate
-        sums = [na * (na - 1) / 2.0]
-        for rate in (c * na, c * K * ma, *(r for _, _, r in atoms),
-                     *(w * (na if to_dormant else ma) for to_dormant, _, _, w in betas)):
-            sums.append(sums[-1] + rate)
-        return sums
+    clocks = _Clocks(params, idle_atoms=True)
 
     # the live lanes in lane order: ids, counts, clocks and, where waiting,
     # the step kept from the last block (its time and u * total); a lane
@@ -433,16 +496,8 @@ def blockcount_ensemble(
             waiting, t_kept, x_kept = waiting[keep], t_kept[keep], x_kept[keep]
         return keep
 
-    def flip(sel, k, to_dormant):
-        if to_dormant:
-            na[sel] -= k
-            ma[sel] += k
-        else:
-            na[sel] += k
-            ma[sel] -= k
-
     while lane.size:
-        sums = rate_sums(na, ma)
+        sums = clocks.rate_sums(na, ma)
         stuck = sums[-1] <= 0.0
         if np.count_nonzero(stuck):
             keep = stop(stuck)
@@ -460,33 +515,24 @@ def blockcount_ensemble(
                 sums, t_next = [s[keep] for s in sums], t_next[keep]
         t = t_next
 
-        # a lane takes the first category whose running sum exceeds x; the
-        # sums never decrease, so each mask of lanes below a sum holds the
-        # one before it, and a zero-rate category (its sum equals the one
-        # before) is never taken
         x = rng.random(lane.size)
         x *= sums[-1]
         if waiting is not None:
             np.copyto(x, x_kept, where=waiting)
-        below = [x < s for s in sums[:-1]]
-        taken = [below[0], *(b ^ a for a, b in zip(below, below[1:])), ~below[-1]]
-        merged, deactivated, activated, *clocks = taken
+        merged, deactivated, activated, flips = clocks.moves(rng, x, sums, na, ma)
         width = _block_width(merged, waiting) if lane.size else 1
         na -= merged
         na -= deactivated
         ma += deactivated
         na += activated
         ma -= activated
-        for (to_dormant, z, _), sel in zip(atoms, clocks):
-            if np.count_nonzero(sel):
-                flip(sel, rng.binomial(na[sel] if to_dormant else ma[sel], z), to_dormant)
-        for (to_dormant, a, b, _), sel in zip(betas, clocks[len(atoms):]):
-            if np.count_nonzero(sel):
-                count = na[sel] if to_dormant else ma[sel]
-                z = rng.beta(a, b, size=count.size)
-                k = 1 + rng.binomial(count - 1, z)
-                k[rng.random(count.size) * k >= 1.0] = 0  # accept with probability 1/k
-                flip(sel, k, to_dormant)
+        for sel, k, to_dormant in flips:
+            if to_dormant:
+                na[sel] -= k
+                ma[sel] += k
+            else:
+                na[sel] += k
+                ma[sel] -= k
 
         at_one = na + ma == 1
         if np.count_nonzero(at_one):
@@ -504,7 +550,7 @@ def blockcount_ensemble(
             # (a(a - 1) is exact in int64 and rounds once either way)
             steps, size = width - 1, lane.size
             row = np.maximum(na - np.arange(steps)[:, None], 2.0)
-            sums = rate_sums(row, ma)
+            sums = clocks.rate_sums(row, ma)
             times = rng.standard_exponential(row.shape)
             times /= sums[-1]
             times[0] += t

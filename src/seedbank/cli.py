@@ -40,14 +40,15 @@ from .config import (
 from .diffusion import DUALITY_EXPONENTS, IntegratorSettings, duality_lhs_grid, integrate
 from .forward_wf import WFConfig, run_trajectory, wf_ensemble
 from .mutation_stats import (
-    drop_mutations,
+    SiteFrequencySpectrum,
     fay_wu_h,
     fu_li_d_numerator,
     segregating_sites,
-    sfs,
+    sfs_ensemble,
     singletons,
     theta_pi,
 )
+from .mutation_stats import drop_mutations, sfs  # noqa: F401  kept bound: perfbench/tracing.py wraps them here
 from .streams import mean_stderr, substream
 
 _WORKERS_ENV = "SEEDBANK_WORKERS"
@@ -255,12 +256,9 @@ def run_stats(cfg: ExperimentConfig, stream, out: Path, workers: int) -> None:
         raise ValueError("the statistics experiment needs a sample of at least 2")
     sfs_rows = []
     seg, sing, tp, h, d = [], [], [], [], []
-    for r in range(cfg.reps):
-        rng = stream(r)
-        g = simulate_coalescent(cfg.n, cfg.m, model, seed=rng)
-        muts = drop_mutations(g, model.u_active, model.u_dormant, seed=rng)
-        spectrum = sfs(g, muts)
-        sfs_rows.append((sample, *spectrum.counts))
+    for counts in sfs_ensemble(cfg.n, cfg.m, model, cfg.reps, seed=stream(0)).tolist():
+        spectrum = SiteFrequencySpectrum(sample, tuple(counts))
+        sfs_rows.append((sample, *counts))
         seg.append(segregating_sites(spectrum))
         sing.append(singletons(spectrum))
         tp.append(theta_pi(spectrum))

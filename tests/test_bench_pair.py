@@ -1,4 +1,4 @@
-"""The pure parts of tools/bench_pair.py: side order, quartiles, wins and ratios."""
+"""tools/bench_pair.py: side order, quartiles, wins, ratios, the claim rule and the machine record."""
 
 import importlib.util
 from pathlib import Path
@@ -41,6 +41,41 @@ def test_summary_gives_quartiles_wins_and_ratios_per_value():
     assert wall["median_ratio"] == pytest.approx(0.75)
     assert wall["max_ratio"] == 1.5
     assert summary["probe"]["change_wins"] == 0 and summary["probe"]["median_ratio"] == 1.0
+    assert wall["claim"] == {"wins": 2, "pairs": 4, "wins_ok": False, "median_gap": 1.0, "parent_iqr": 1.5,
+                             "gap_ok": False, "met": False}
+
+
+def _claim(parent, change):
+    runs = {side: [{"values": {"wall_s": v}} for v in values] for side, values in
+            (("parent", parent), ("change", change))}
+    return bench_pair.summarize(runs)["wall_s"]["claim"]
+
+
+def test_claim_counts_a_tie_for_neither_side():
+    parent = [1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.1]
+    nine_wins_and_a_tie = [0.5] * 9 + [1.1]
+    assert _claim(parent, nine_wins_and_a_tie)["met"]
+    eight_wins_and_two_ties = [0.5] * 8 + [1.2, 1.1]
+    verdict = _claim(parent, eight_wins_and_two_ties)
+    assert (verdict["wins"], verdict["wins_ok"], verdict["gap_ok"], verdict["met"]) == (8, False, True, False)
+
+
+def test_claim_needs_a_median_gap_beyond_the_parent_iqr():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0]  # median 3, IQR 2
+    inside = [v - 1.5 for v in parent]  # wins every pair, but the medians differ by 1.5
+    verdict = _claim(parent, inside)
+    assert (verdict["wins"], verdict["median_gap"], verdict["parent_iqr"]) == (10, 1.5, 2.0)
+    assert verdict["wins_ok"] and not verdict["gap_ok"] and not verdict["met"]
+    assert _claim(parent, [v - 2.5 for v in parent])["met"]
+
+
+def test_machine_record_names_the_host_and_both_roots(tmp_path):
+    repo = Path(__file__).parents[1]
+    record = bench_pair.machine({"parent": repo, "change": tmp_path})
+    assert {"nproc", "cpu_model", "platform"} <= record.keys()
+    assert record["roots"]["change"]["commit"] is None  # not a git checkout
+    if (repo / ".git").exists():
+        assert len(record["roots"]["parent"]["commit"]) == 40
 
 
 def test_quartiles_of_one_value_are_that_value():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from seedbank.blockcount import (
 )
 from seedbank.coalescent import simulate_coalescent
 from seedbank.measures import ModelParams, SwitchingMeasure
+from seedbank.mutation_stats import sfs_ensemble
 from test_properties import _rate_table_lattice
 
 P11 = ModelParams(c=1.0, K=1.0)
@@ -115,6 +117,8 @@ def test_event_times_must_advance(params):
             simulate_blockcount(BlockCountState(0, 2), params, seed=seed)
         with pytest.raises(ValueError, match="does not advance the clock"):
             simulate_coalescent(0, 2, params, seed=seed)
+        with pytest.raises(ValueError, match="does not advance the clock"):
+            sfs_ensemble(0, 2, dataclasses.replace(params, u_active=1.0, u_dormant=1.0), 4, seed=seed)
 
 
 def test_event_budget_stops_a_runaway_run(monkeypatch):
@@ -126,6 +130,8 @@ def test_event_budget_stops_a_runaway_run(monkeypatch):
         simulate_blockcount(BlockCountState(0, 2), slow, seed=0)
     with pytest.raises(ValueError, match=r"event budget of 1000 events.*horizon"):
         simulate_coalescent(0, 2, slow, seed=0)
+    with pytest.raises(ValueError, match=r"event budget of 1000 events"):
+        sfs_ensemble(0, 2, slow, 4, seed=0)
     # a run of exactly the budget is allowed
     path = long_path[:1001]
     assert simulate_blockcount(BlockCountState(2, 0), P11, horizon=path[-1][0], seed=0) == path

@@ -289,6 +289,24 @@ def test_cli_byte_identical_reruns_and_workers(tmp_path):
     assert first == again == pooled
 
 
+@pytest.mark.parametrize("reps", [1, 300])
+def test_cli_stats_byte_identical_reruns_and_workers(tmp_path, reps):
+    cfg_file = tmp_path / "run.ini"
+    model = ModelParams(c=1.0, K=2.0, u_active=1.0, u_dormant=0.5,
+                        lambda_ad=SwitchingMeasure.atom(0.5, 0.4), lambda_da=SwitchingMeasure.atom(0.3, 0.5))
+    cfg = ExperimentConfig(experiment="stats", seed=6, n=5, m=2, reps=reps, model=model)
+    cfg_file.write_text(serialize_config(cfg))
+    runs = []
+    for workers in ("1", "1", "2"):
+        assert main(["stats", "--config", str(cfg_file), "--out", str(tmp_path / "s"), "--workers", workers]) == 0
+        runs.append({name: (tmp_path / "s" / name).read_bytes() for name in ("sfs.csv", "summary.json")})
+    assert runs[0] == runs[1] == runs[2]
+    rows = [ln for ln in runs[0]["sfs.csv"].decode().splitlines() if not ln.startswith("#")]
+    assert len(rows) == reps + 1
+    summary = json.loads(runs[0]["summary.json"])
+    assert summary["reps"] == reps and (summary["segregating_sites"]["stderr"] == 0.0) == (reps == 1)
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[model]\nK = -2\n")

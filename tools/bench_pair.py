@@ -19,11 +19,14 @@ sides alike.  W is a benchmark workload or ``ensemble``:
   PYTHONPATH.  The timed values are the best-of-three seconds of every
   probe and of the tmrca-scan config (their sum over its n).
 
-The output file holds the run order, the machine record the first benchmark
-run printed (null for ``ensemble``), every run, the failed check names per
-side, and per timed value each side's values and quartiles, the number of
-pairs the change wins (lower is better for every value) and the change /
-parent ratio of every pair with its median and maximum.
+The output file holds the run order, the machine record (``perfbench/run.py``'s
+``machine_record``, with the git commit of both roots added), every
+run, the failed check names per side, and per timed value each side's values
+and quartiles, the number of pairs the change wins (lower is better for every
+value), the change / parent ratio of every pair with its median and maximum,
+and the verdict of the claim rule: the change wins at least nine tenths of
+all pairs, a tie counting for neither side, and its median lies below the
+parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 PROBES = Path(__file__).resolve().with_name("ensemble_probes.py")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -68,6 +72,18 @@ def run_ensemble(root: Path, seed: int) -> dict:
     return {"values": {name: probe["best_s"] for name, probe in probes.items()}, "probes": probes}
 
 
+def machine(roots: dict) -> dict:
+    """``perfbench/run.py``'s machine record of this host, with the git
+    record (commit and dirty flag) of every root under ``roots``."""
+    # run.py imports its sibling workload.py, so it is imported from its own directory
+    code = ("import json, pathlib, sys, run; roots = [pathlib.Path(a) for a in sys.argv[1:]]; "
+            "print(json.dumps([run.machine_record(roots[0]), [run._git_record(r) for r in roots]]))")
+    proc = subprocess.run([sys.executable, "-B", "-c", code, *map(str, roots.values())], cwd=PERFBENCH,
+                          capture_output=True, text=True, check=True)
+    record, commits = json.loads(proc.stdout)
+    return {**record, "roots": dict(zip(roots, commits))}
+
+
 def alternate(run, label: str, pairs: int, seed0: int) -> tuple[list[str], dict]:
     """Call ``run(side, seed)`` for both sides of each pair, the parent first
     on even pairs; returns the run order and each side's runs in pair order."""
@@ -87,19 +103,35 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def claim(parent: dict, change: dict, wins: int) -> dict:
+    """The claim rule for a lower-is-better value, from each side's quartiles
+    and the pairs the change won: at least nine tenths of all pairs won (a
+    tie is no win for either side), and the parent's median above the
+    change's by more than the parent's interquartile range."""
+    pairs = len(parent["values"])
+    gap = parent["median"] - change["median"]
+    wins_ok, gap_ok = 10 * wins >= 9 * pairs, gap > parent["iqr"]
+    return {"wins": wins, "pairs": pairs, "wins_ok": wins_ok, "median_gap": gap,
+            "parent_iqr": parent["iqr"], "gap_ok": gap_ok, "met": wins_ok and gap_ok}
+
+
 def summarize(runs: dict) -> dict:
     """Per timed value: each side's values and quartiles, the pairs the
-    change wins and the change / parent ratio of each pair."""
+    change wins, the change / parent ratio of each pair and the claim rule's
+    verdict."""
     summary = {}
     for name in runs["parent"][0]["values"]:
         values = {side: [run["values"][name] for run in runs[side]] for side in SIDES}
+        sides = {side: {"values": values[side], **quartiles(values[side])} for side in SIDES}
         ratios = [c / p for p, c in zip(values["parent"], values["change"])]
+        wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
         summary[name] = {
-            **{side: {"values": values[side], **quartiles(values[side])} for side in SIDES},
-            "change_wins": sum(r < 1.0 for r in ratios),
+            **sides,
+            "change_wins": wins,
             "change_over_parent": ratios,
             "median_ratio": statistics.median(ratios),
             "max_ratio": max(ratios),
+            "claim": claim(sides["parent"], sides["change"], wins),
         }
     return summary
 
@@ -128,7 +160,7 @@ def main(argv=None) -> int:
         "command": " ".join(["python3", "tools/bench_pair.py", "PARENT", "CHANGE", "--workload", args.workload,
                              "--pairs", str(args.pairs), "--seed0", str(args.seed0),
                              "--seconds", repr(args.seconds)]),
-        "machine": runs["parent"][0].get("machine"),  # pair 0 runs the parent first
+        "machine": machine(roots),
         "run_order": order,
         "summary": summarize(runs),
     }
